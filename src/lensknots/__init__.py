@@ -18,7 +18,7 @@ from .families import (FamilyId, FamilyInstance, VerificationReport,
                        coincidence_scan, family_space, filling_table,
                        gof_filling, instantiate, torus_knot_types, verify)
 from .fatgraph import (ArcSystemConfig, Circle, FaceReport, Region,
-                       ScharlemannCycle, build, enumerate_configs, faces,
+                       ScharlemannCycle, enumerate_configs, faces,
                        parity_check, parity_check_closed_form,
                        scharlemann_cycles)
 from .gridknots import (Grid1Knot, find_torus_grid_witness, grid1_order,

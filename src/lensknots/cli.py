@@ -21,17 +21,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import gcd
 
-from .families import instantiate, verify
+from .families import FamilyId, instantiate, verify
 from .fatgraph import enumerate_configs
 from .gridknots import find_torus_grid_witness
 from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant, trace
 from .surgery import INFINITE, core_order, h1, link_from_json
 
-KNOTTED_FAMILIES = ("I", "II", "III", "IV", "V")
-
 
 def _order_str(o):
-    return "infinite" if o in (0, INFINITE) else str(o)
+    return "infinite" if o == INFINITE else str(o)
 
 
 def _render_instance(inst):
@@ -74,11 +72,12 @@ def _cmd_family(args):
 
 
 def _parse_families(text):
+    knotted = [f.value for f in FamilyId if f is not FamilyId.VI]
     if text == "all":
-        return list(KNOTTED_FAMILIES)
+        return knotted
     fams = [f.strip() for f in text.split(",")]
     for f in fams:
-        if f not in KNOTTED_FAMILIES:
+        if f not in knotted:
             raise ValueError(f"unknown family {f!r} (ranges cover I..V)")
     return fams
 
@@ -182,8 +181,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("family", help="render one atlas member")
-    p.add_argument("--id", required=True,
-                   choices=KNOTTED_FAMILIES + ("VI",))
+    p.add_argument("--id", required=True, choices=[f.value for f in FamilyId])
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=int, help="family VI only")
     p.add_argument("--q", type=int, help="family VI only")

@@ -36,8 +36,8 @@ from math import gcd, lcm
 from .gridknots import find_torus_grid_witness, grid1_order
 from .lenspaces import LensSpace, Slope, is_homeomorphic, normalize
 from .mcg import MappingWord, bundle_h1
-from .surgery import (INFINITE, FramedLink, core_order, h1, link_from_obj,
-                      link_to_obj, unknot, whitehead)
+from .surgery import (FramedLink, core_order, h1, link_from_obj, link_to_obj,
+                      unknot, whitehead)
 
 
 class FamilyId(enum.Enum):
@@ -55,42 +55,34 @@ class FamilyForm:
 
     alpha is the constant surgery coefficient, beta the coefficient m of
     the slope m + 1/k on the other component; pairs (a, b) stand for the
-    value a*k + b.
+    value a*k + b.  A sporadic family is fibered only at k = +-1 and a
+    torus knot only at k = +1; the others are fibered torus knots for
+    every k, with the same monodromy throughout.
     """
 
     alpha: int
     beta: int
     p: tuple
     q: tuple
-    core: int     # 0-indexed core component
-    s: tuple      # homology order of the core, |a*k + b|
-    grid: tuple   # grid number one index, |a*k + b|
+    core: int      # 0-indexed core component
+    s: tuple       # homology order of the core, |a*k + b|
+    grid: tuple    # grid number one index, |a*k + b|
+    torus: tuple   # torus knot type {da, db}
+    twists: tuple  # n of the monodromy x^n y at k = -1 and at k = +1
+    sporadic: bool = False
 
 
 _FORMS = {
-    FamilyId.I: FamilyForm(-1, -6, (6, -1), (2, -1), core=1, s=(6, -1), grid=(0, 2)),
-    FamilyId.II: FamilyForm(-2, -4, (8, -2), (4, 1), core=1, s=(4, -1), grid=(0, 2)),
-    FamilyId.III: FamilyForm(-3, -3, (9, -3), (3, -2), core=1, s=(3, -1), grid=(0, 3)),
-    FamilyId.IV: FamilyForm(-3, -3, (9, -3), (3, -2), core=0, s=(0, 3), grid=(3, -1)),
-    FamilyId.V: FamilyForm(-2, -4, (8, -2), (4, 1), core=0, s=(0, 2), grid=(4, -1)),
-}
-
-# torus knot type {da, db}; IV and V are torus knots only at k = +1
-_TORUS_TYPE = {
-    FamilyId.I: lambda k: (2, 3),
-    FamilyId.II: lambda k: (2, 4),
-    FamilyId.III: lambda k: (3, 3),
-    FamilyId.IV: lambda k: (2, 4) if k == 1 else None,
-    FamilyId.V: lambda k: (3, 3) if k == 1 else None,
-}
-
-# monodromy of the once-punctured-torus fibration, when fibered
-_MONODROMY = {
-    FamilyId.I: lambda k: "x y",
-    FamilyId.II: lambda k: "x^2 y",
-    FamilyId.III: lambda k: "x^3 y",
-    FamilyId.IV: lambda k: {-1: "x^4 y", 1: "x^2 y"}.get(k),
-    FamilyId.V: lambda k: {-1: "x^5 y", 1: "x^3 y"}.get(k),
+    FamilyId.I: FamilyForm(-1, -6, (6, -1), (2, -1), core=1, s=(6, -1), grid=(0, 2),
+                           torus=(2, 3), twists=(1, 1)),
+    FamilyId.II: FamilyForm(-2, -4, (8, -2), (4, 1), core=1, s=(4, -1), grid=(0, 2),
+                            torus=(2, 4), twists=(2, 2)),
+    FamilyId.III: FamilyForm(-3, -3, (9, -3), (3, -2), core=1, s=(3, -1), grid=(0, 3),
+                             torus=(3, 3), twists=(3, 3)),
+    FamilyId.IV: FamilyForm(-3, -3, (9, -3), (3, -2), core=0, s=(0, 3), grid=(3, -1),
+                            torus=(2, 4), twists=(4, 2), sporadic=True),
+    FamilyId.V: FamilyForm(-2, -4, (8, -2), (4, 1), core=0, s=(0, 2), grid=(4, -1),
+                           torus=(3, 3), twists=(5, 3), sporadic=True),
 }
 
 
@@ -174,18 +166,19 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
     if rq is not None or not isinstance(k, int) or k == 0:
         raise ValueError(f"family {family.value} takes a nonzero integer k")
     form = _FORMS[family]
-    word = _MONODROMY[family](k)
+    fibered = not form.sporadic or abs(k) == 1
     return FamilyInstance(
         family=family, k=k, rq=None,
-        space=normalize(_linear(form.p, k), _linear(form.q, k)),
+        space=family_space(family, k),
         surgery=whitehead(Slope.make(form.alpha, 1),
                           Slope.make(form.beta * k + 1, k)),
         core_index=form.core,
         order_s=abs(_linear(form.s, k)),
-        fibered=word is not None,
-        monodromy=MappingWord.parse(word) if word else None,
+        fibered=fibered,
+        monodromy=(MappingWord((("x", form.twists[k > 0]), ("y", 1)))
+                   if fibered else None),
         grid_index=abs(_linear(form.grid, k)),
-        torus_type=_TORUS_TYPE[family](k))
+        torus_type=form.torus if not form.sporadic or k == 1 else None)
 
 
 # --- the verification battery ------------------------------------------------
@@ -224,13 +217,6 @@ def _check(name, fn):
     return CheckResult(name, bool(passed), detail)
 
 
-def _matches_order(value, s):
-    """Compare a group/element order against s, with 0 encoding infinite."""
-    if value == INFINITE:
-        return s == 0
-    return value == s
-
-
 def verify(inst: FamilyInstance) -> VerificationReport:
     """Recompute every attribute of an instance by an independent route."""
     checks = (
@@ -251,14 +237,14 @@ def _label(inst):
 
 def _check_homology(inst):
     group = h1(inst.surgery)
-    want = inst.space.order  # 0 for S1xS2
-    ok = group.is_cyclic and _matches_order(group.order(), want)
+    want = inst.space.order  # 0 for S1xS2, as for group.order()
+    ok = group.is_cyclic and group.order() == want
     return ok, f"h1 = {group}, space order {want}"
 
 
 def _check_core_order(inst):
     got = core_order(inst.surgery, inst.core_index)
-    ok = _matches_order(got, inst.order_s)
+    ok = got == inst.order_s
     return ok, f"core order {got}, expected s = {inst.order_s}"
 
 
@@ -384,21 +370,17 @@ def coincidence_scan(maxk):
     return out
 
 
-_GOF_INDEX = {FamilyId.I: 1, FamilyId.II: 2, FamilyId.III: 3,
-              FamilyId.IV: 4, FamilyId.V: 5}
-
-
 def gof_filling(family) -> LensSpace:
     """Lens space containing the genus-one fibered knot of a family.
 
-    The fibered members of family n have monodromy x^n y, and their
-    punctured-torus bundle is the Whitehead exterior W(-n, .).  Filling
-    the second component trivially (slope infinity) erases it - both
-    components of W are unknots - leaving -n surgery on the unknot, the
-    lens space L(n,1).  The homology of the filled link is checked here
-    before returning.
+    The k = -1 member of the n-th family (I..V) is fibered with monodromy
+    x^n y, and its punctured-torus bundle is the Whitehead exterior
+    W(-n, .).  Filling the second component trivially (slope infinity)
+    erases it - both components of W are unknots - leaving -n surgery on
+    the unknot, the lens space L(n,1).  The homology of the filled link is
+    checked here before returning.
     """
-    n = _GOF_INDEX[_as_family(family)]
+    n = _FORMS[_as_family(family)].twists[0]
     group = h1(whitehead(Slope.make(-n, 1), Slope.make(1, 0)))
     assert group.is_cyclic and group.order() == n
     return normalize(n, 1)

@@ -112,10 +112,6 @@ class ArcSystemConfig:
             return None
         return "amber" if self.corner_side(g) == 0 else "blue"
 
-    def corner_label_pair(self, g):
-        """The two labels adjacent to the corner gap after slot g."""
-        return frozenset({self.label(g), self.label((g + 1) % self.num_slots)})
-
     def edges(self):
         return [(letter, j)
                 for letter, n in zip(BUNDLE_ORDER, self.counts)
@@ -130,11 +126,6 @@ class ArcSystemConfig:
         """
         a, b, c = sorted(self.counts, reverse=True)
         return ArcSystemConfig(self.s, self.t, a, b, c, 0)
-
-
-def build(s, t, n_a, n_b, n_c, offset=0) -> ArcSystemConfig:
-    """Construct a configuration, rejecting multiplicity sum mismatches."""
-    return ArcSystemConfig(s, t, n_a, n_b, n_c, offset)
 
 
 def parity_check(cfg: ArcSystemConfig) -> bool:
@@ -313,7 +304,10 @@ def enumerate_configs(t, max_parallel, require_max=False, s_range=None):
     restricts the knot order s; by default all s compatible with the
     multiplicity bound are scanned.
     """
-    assert max_parallel >= 1
+    if t < 2 or t % 2:
+        raise ValueError(f"t must be even and at least 2, got {t}")
+    if max_parallel < 1:
+        raise ValueError(f"max_parallel must be at least 1, got {max_parallel}")
     if s_range is None:
         s_range = range(1, 3 * max_parallel * 2 // t + 1)
     out = []

@@ -41,15 +41,12 @@ class Grid1Knot:
         return grid1_order(self.n, self.r)
 
 
-def grid1_order(n, r=None):
+def grid1_order(n, r):
     """Order of n times the core generator in H1(L(r,q)) = Z/r.
 
-    Accepts a Grid1Knot or the pair (n, r).  Returns r // gcd(n, r);
-    r = 0 stands for S1xS2, where any n != 0 has infinite order,
-    encoded as 0.
+    Returns r // gcd(n, r); r = 0 stands for S1xS2, where any n != 0 has
+    infinite order, encoded as 0.
     """
-    if isinstance(n, Grid1Knot):
-        n, r = n.n, n.r
     r = abs(r)
     if r == 0:
         return 1 if n == 0 else 0

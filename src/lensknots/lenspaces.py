@@ -34,12 +34,6 @@ class LensSpace:
         """Order of the first homology group; 0 means infinite (S1xS2)."""
         return abs(self.p)
 
-    def normalize(self):
-        return normalize(self.p, self.q)
-
-    def is_homeomorphic(self, other):
-        return is_homeomorphic(self, other)
-
     def __str__(self):
         if self.p == 0:
             return "S1xS2"
@@ -81,7 +75,7 @@ def normalize(p: int, q: int) -> LensSpace:
 
 
 def is_homeomorphic(a: LensSpace, b: LensSpace) -> bool:
-    return a.normalize() == b.normalize()
+    return normalize(a.p, a.q) == normalize(b.p, b.q)
 
 
 @dataclass(frozen=True)
@@ -118,11 +112,6 @@ class Slope:
     @property
     def is_infinite(self):
         return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise ValueError("infinite slope has no rational value")
-        return Fraction(self.p, self.q)
 
     def __str__(self):
         if self.is_infinite:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .surgery import AbelianGroup
+from .surgery import AbelianGroup, _solve_bezout
 
 TWIST_X = ((1, 1), (0, 1))
 TWIST_Y = ((1, 0), (-1, 1))
@@ -105,7 +105,8 @@ class MappingWord:
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables)
 
 
-def _as_matrix(w):
+def evaluate(w):
+    """Matrix of a word (string, MappingWord, or already a matrix)."""
     if isinstance(w, str):
         w = MappingWord.parse(w)
     if isinstance(w, MappingWord):
@@ -113,11 +114,6 @@ def _as_matrix(w):
     if w[0][0] * w[1][1] - w[0][1] * w[1][0] != 1:
         raise ValueError("matrix must have determinant one")
     return w
-
-
-def evaluate(w):
-    """Matrix of a word (string, MappingWord, or already a matrix)."""
-    return _as_matrix(w)
 
 
 class NTClass(enum.Enum):
@@ -142,7 +138,7 @@ class TorusMapClass:
 
 def classify(w) -> TorusMapClass:
     """Nielsen-Thurston type from the homology action."""
-    m = _as_matrix(w)
+    m = evaluate(w)
     t = trace(m)
     if abs(t) > 2:
         return TorusMapClass(NTClass.PSEUDO_ANOSOV, t)
@@ -165,7 +161,7 @@ def bundle_h1(w) -> AbelianGroup:
     The bundle fibers over the circle, giving Z from the base direction
     plus the coinvariants of the monodromy action on the fiber's homology.
     """
-    m = _as_matrix(w)
+    m = evaluate(w)
     rows = [[m[0][0] - 1, m[0][1]], [m[1][0], m[1][1] - 1]]
     fiber = AbelianGroup.from_presentation(rows, 2)
     return AbelianGroup(fiber.rank + 1, fiber.torsion)
@@ -253,7 +249,7 @@ def conjugacy_invariant(w) -> str:
     give "parabolic:n" with n the invariant twisting integer; pseudo-Anosov
     classes give the cyclic R/L word in its lexicographically least rotation.
     """
-    m = _as_matrix(w)
+    m = evaluate(w)
     t = trace(m)
     if abs(t) == 2 and m not in (IDENTITY, ((-1, 0), (0, -1))):
         return f"parabolic:{_parabolic_invariant(m)}"
@@ -289,25 +285,10 @@ def _parabolic_invariant(m):
     row = (n00, n01) if (n00, n01) != (0, 0) else (n10, n11)
     g = gcd(row[0], row[1])
     v = (-row[1] // g, row[0] // g)  # primitive eigenvector
-    w = _basis_complement(v)  # completes v to a determinant-one basis
-    nw = (n00 * w[0] + n01 * w[1], n10 * w[0] + n11 * w[1])
+    w1, w0 = _solve_bezout(*v)  # v0*w1 - v1*w0 = 1 completes v to a basis
+    nw = (n00 * w0 + n01 * w1, n10 * w0 + n11 * w1)
     # N w = n v for the twisting integer n
     n = nw[0] // v[0] if v[0] != 0 else nw[1] // v[1]
     assert (n * v[0], n * v[1]) == nw
     assert n != 0
     return n
-
-
-def _basis_complement(v):
-    """Some (w0, w1) with v0*w1 - v1*w0 = 1."""
-    old_r, r = v[0], v[1]
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    assert abs(old_r) == 1  # v is primitive
-    # v0*old_s + v1*old_t = old_r; rescale so the determinant is exactly one
-    return -old_t * old_r, old_s * old_r

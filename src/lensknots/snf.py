@@ -7,8 +7,6 @@ in this package, which keeps the elimination free to pick pivots greedily.
 
 from __future__ import annotations
 
-from math import gcd
-
 
 def smith_normal_form(rows):
     """Diagonal of the Smith normal form of an integer matrix.
@@ -68,13 +66,8 @@ def smith_normal_form(rows):
             for j in range(top, ncols):
                 m[top][j] += m[offender][j]
             continue
+        # every later pivot lies in the block this pivot divides, so the
+        # diagonal is a divisibility chain as it stands
         diag.append(abs(pivot))
         top += 1
-    # enforce divisibility along the diagonal (paranoia; the block-divisor
-    # check above should already guarantee it)
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            g = gcd(a, b)
-            diag[i], diag[j] = g, a * b // g
     return diag

@@ -22,7 +22,9 @@ from math import gcd
 from .lenspaces import INFINITY, Slope
 from .snf import smith_normal_form
 
-INFINITE = math.inf  # order of an infinite-order element or infinite group
+# order of an infinite-order element or infinite group; with this encoding
+# |H1| = |det| of the presentation holds for every closed manifold
+INFINITE = 0
 
 UNFILLED = None
 
@@ -96,15 +98,17 @@ class FramedLink:
 
     def __post_init__(self):
         n = len(self.linking)
-        assert len(self.coefficients) == n
+        if len(self.coefficients) != n:
+            raise ValueError("need one filling coefficient per component")
         for i, row in enumerate(self.linking):
-            assert len(row) == n
-            assert row[i] == 0
+            if len(row) != n or row[i] != 0:
+                raise ValueError("linking matrix must be square with zero diagonal")
             for j in range(n):
-                assert isinstance(row[j], int)
-                assert row[j] == self.linking[j][i]
+                if not isinstance(row[j], int) or row[j] != self.linking[j][i]:
+                    raise ValueError("linking matrix must be symmetric and integral")
         for c in self.coefficients:
-            assert c is None or isinstance(c, Slope)
+            if c is not None and not isinstance(c, Slope):
+                raise ValueError(f"coefficient {c!r} is not a slope")
 
     @classmethod
     def make(cls, linking, coefficients, name=None) -> "FramedLink":
@@ -184,7 +188,7 @@ def core_order(link: FramedLink, i: int, bezout=None):
     c*e_i + d*sum_j lk(i,j)*e_j for any (c,d) with p*d - q*c = 1; different
     Bezout solutions differ by a multiple of the relation row of component
     i, so the class in H1 is independent of the choice.  Returns INFINITE
-    for infinite order.
+    (0) for infinite order.
     """
     coeff = link.coefficients[i]
     if coeff is None:
@@ -283,8 +287,13 @@ def link_to_obj(link: FramedLink) -> dict:
 
 
 def link_from_obj(obj) -> FramedLink:
+    if not isinstance(obj, dict):
+        raise ValueError("a link file holds one JSON object")
     if obj.get("schema_version") != 1:
         raise ValueError("unsupported link file schema")
+    missing = [key for key in ("linking", "coefficients") if key not in obj]
+    if missing:
+        raise ValueError(f"link file lacks {', '.join(missing)}")
     return FramedLink.make(obj["linking"],
                            [_coeff_from_str(s) for s in obj["coefficients"]],
                            obj.get("name"))

@@ -14,7 +14,7 @@ import lensknots.families as families
 from lensknots.cli import run
 from lensknots.families import (FamilyId, coincidence_scan, gof_filling,
                                 instantiate, torus_knot_types)
-from lensknots.fatgraph import build, enumerate_configs, faces
+from lensknots.fatgraph import ArcSystemConfig, enumerate_configs, faces
 from lensknots.gridknots import (find_torus_grid_witness, grid1_order,
                                  torus_knot_sequence)
 from lensknots.lenspaces import LensSpace, Slope, is_homeomorphic, normalize
@@ -173,12 +173,12 @@ def test_criterion_09_arc_enumeration():
         (3, (3, 0, 0)), (5, (3, 1, 1)), (7, (3, 3, 1)), (9, (3, 3, 3))]
     assert len(enumerate_configs(2, 2)) == 5
 
-    report = faces(build(3, 2, 1, 1, 1))
+    report = faces(ArcSystemConfig(3, 2, 1, 1, 1))
     assert report.polygon_census() == [3, 3]
     assert {d.color for d in report.disks} == {"amber", "blue"}
     assert report.annuli == ()
 
-    report = faces(build(2, 2, 2, 0, 0))
+    report = faces(ArcSystemConfig(2, 2, 2, 0, 0))
     assert report.polygon_census() == [2]
     assert len(report.annuli) == 1
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lensknots.cli import run
 from lensknots.families import FamilyInstance, instantiate
 from lensknots.surgery import link_to_json, unknot, whitehead
@@ -102,6 +104,20 @@ def test_homology_file_errors(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"schema_version": 1, "linking": [[0, 1], [2, 0]], "coefficients": ["1", "1"]}',
+    '[{"schema_version": 1}]',
+    '{"schema_version": 1, "linking": [[0]]}',
+], ids=["asymmetric", "list", "no-coefficients"])
+def test_homology_malformed_link(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["homology", "--link", str(path)]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_mcg_identity(capsys):
     assert run(["mcg", "--word", ""]) == 0
     out, _ = out_of(capsys)
@@ -144,6 +160,10 @@ def test_enum_graphs(capsys):
     assert run(["enum-graphs", "--t", "2", "--max-parallel", "2"]) == 0
     out, _ = out_of(capsys)
     assert out.strip().splitlines()[-1] == "count: 5"
+    assert run(["enum-graphs", "--t", "3", "--max-parallel", "2"]) == 2
+    assert run(["enum-graphs", "--t", "2", "--max-parallel", "0"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and err.count("error:") == 2
 
 
 def test_bad_subcommand_and_help(capsys):

@@ -137,7 +137,7 @@ def test_filling_table_contents():
         for k in (-4, 1, 5):
             inst = instantiate(fam, k)
             predicted = [row.space_for(inst) for row in rows]
-            assert inst.space in [p.normalize() for p in predicted if p]
+            assert inst.space in [normalize(p.p, p.q) for p in predicted if p]
 
 
 def test_gof_fillings():

@@ -4,8 +4,8 @@ import pathlib
 import pytest
 from hypothesis import given, strategies as st
 
-from lensknots.fatgraph import (ArcSystemConfig, build, enumerate_configs,
-                                faces, parity_check, parity_check_closed_form,
+from lensknots.fatgraph import (ArcSystemConfig, enumerate_configs, faces,
+                                parity_check, parity_check_closed_form,
                                 scharlemann_cycles)
 
 DATA = pathlib.Path(__file__).parent / "data" / "figure_faces.json"
@@ -110,17 +110,18 @@ def test_offset_swaps_colors_at_t2():
 
 
 def test_build_and_validation():
-    cfg = build(3, 2, 1, 1, 1)
+    cfg = ArcSystemConfig(3, 2, 1, 1, 1)
     assert cfg.num_edges == 3 and cfg.num_slots == 6
     assert cfg.endpoint_word() == "A B C A B C"
     assert cfg.canonical() == cfg
-    assert build(4, 2, 1, 3, 0, offset=1).canonical() == build(4, 2, 3, 1, 0)
+    assert (ArcSystemConfig(4, 2, 1, 3, 0, offset=1).canonical()
+            == ArcSystemConfig(4, 2, 3, 1, 0))
     with pytest.raises(ValueError):
-        build(3, 2, 1, 1, 0)  # 2 arcs but s*t/2 = 3
+        ArcSystemConfig(3, 2, 1, 1, 0)  # 2 arcs but s*t/2 = 3
     with pytest.raises(AssertionError):
-        build(2, 3, 3, 0, 0)  # odd t
+        ArcSystemConfig(2, 3, 3, 0, 0)  # odd t
     with pytest.raises(AssertionError):
-        build(0, 2, 0, 0, 0)
+        ArcSystemConfig(0, 2, 0, 0, 0)
 
 
 def test_scharlemann_cycle_definition():

@@ -64,7 +64,6 @@ def test_grid1_order():
 def test_grid1_knot_object():
     knot = Grid1Knot(12, 5, 8)
     assert knot.homology_order == 3
-    assert grid1_order(knot) == 3
     assert knot.n_along_other_curve == 4
     # counting along the other curve preserves the homology order
     assert grid1_order(knot.n_along_other_curve, 12) == 3
