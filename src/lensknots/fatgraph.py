@@ -14,20 +14,54 @@ so start j of a bundle joins end n-1-j.  Slot m carries the label
 ((m + offset) mod t) + 1, and the corner gap between slots g and g+1 lies
 on the knot between consecutive labels.
 
-Complementary regions are recovered by tracing boundary circles of the
-ribbon structure: leave by slot p, run along the arc to its partner, then
-turn through the corner gap at the arrival slot and leave by the next
-slot.  Circles that are null-homologous in the torus bound complementary
-disks; homologically essential circles come in pairs bounding a single
-annulus region.
+The fat graph is the slot permutation m -> partner(m), built once per
+configuration as a table together with the edge id and signed torus class
+of every slot.  Complementary regions are recovered by tracing boundary
+circles of the ribbon structure: leave by slot p, run along the arc to its
+partner, then turn through the corner gap at the arrival slot and leave by
+the next slot; the circles are the cycles of m -> (partner(m) + 1) mod s*t.
+Circles that are null-homologous in the torus bound complementary disks;
+homologically essential circles come in pairs bounding a single annulus
+region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 CLASSES = {"A": (1, 0), "B": (1, 1), "C": (0, 1)}
 BUNDLE_ORDER = ("A", "B", "C")
+
+
+def _slot_tables(counts):
+    """Per-slot (partner, edge id, signed class) lists for bundle counts.
+
+    Start j of a bundle with n arcs sits at base + j and its end at
+    e + base + n-1-j, where base counts the arcs of the earlier bundles and
+    e all arcs; the arc is traversed along its class from start to end.
+    """
+    e = sum(counts)
+    partner = [0] * (2 * e)
+    edge = [None] * (2 * e)
+    h1 = [None] * (2 * e)
+    base = 0
+    for letter, n in zip(BUNDLE_ORDER, counts):
+        x, y = CLASSES[letter]
+        for j in range(n):
+            start, end = base + j, e + base + n - 1 - j
+            partner[start], partner[end] = end, start
+            edge[start] = edge[end] = (letter, j)
+            h1[start], h1[end] = (x, y), (-x, -y)
+        base += n
+    return partner, edge, h1
+
+
+def _at(table, m):
+    """table[m] for a slot m, refusing the wrap-around of a negative m."""
+    if not 0 <= m < len(table):
+        raise IndexError(f"slot {m} out of range 0..{len(table) - 1}")
+    return table[m]
 
 
 @dataclass(frozen=True)
@@ -42,14 +76,18 @@ class ArcSystemConfig:
     offset: int = 0
 
     def __post_init__(self):
-        assert self.s >= 1
-        assert self.t >= 2 and self.t % 2 == 0
-        assert min(self.n_a, self.n_b, self.n_c) >= 0
-        if self.n_a + self.n_b + self.n_c != self.s * self.t // 2:
+        if self.s < 1:
+            raise ValueError(f"s must be at least 1, got {self.s}")
+        if self.t < 2 or self.t % 2:
+            raise ValueError(f"t must be even and at least 2, got {self.t}")
+        if min(self.counts) < 0:
+            raise ValueError(f"multiplicities must be nonnegative, got {self.counts}")
+        if sum(self.counts) != self.num_edges:
             raise ValueError(
-                f"multiplicities sum to {self.n_a + self.n_b + self.n_c}, "
-                f"need s*t/2 = {self.s * self.t // 2}")
-        assert 0 <= self.offset < self.t
+                f"multiplicities sum to {sum(self.counts)}, "
+                f"need s*t/2 = {self.num_edges}")
+        if not 0 <= self.offset < self.t:
+            raise ValueError(f"offset must lie in 0..{self.t - 1}, got {self.offset}")
 
     @property
     def counts(self):
@@ -70,33 +108,24 @@ class ArcSystemConfig:
                 for _ in range(n)]
         return " ".join(half + half)
 
+    @cached_property
+    def _tables(self):
+        return _slot_tables(self.counts)
+
     def slot_info(self, m):
         """(bundle letter, index within bundle, is_start) of a global slot."""
-        e = self.num_edges
-        is_start = m < e
-        m = m % e
-        for letter, n in zip(BUNDLE_ORDER, self.counts):
-            if m < n:
-                return letter, m, is_start
-            m -= n
-        raise IndexError("slot out of range")
+        letter, j = self.edge_of_slot(m)
+        if m < self.num_edges:
+            return letter, j, True
+        return letter, self.counts[BUNDLE_ORDER.index(letter)] - 1 - j, False
 
     def edge_of_slot(self, m):
         """Edge id (letter, j) of the arc with an end at slot m."""
-        letter, j, is_start = self.slot_info(m)
-        n = dict(zip(BUNDLE_ORDER, self.counts))[letter]
-        return (letter, j if is_start else n - 1 - j)
+        return _at(self._tables[1], m)
 
     def partner(self, m):
         """The other end of the arc ending at slot m (nested pairing)."""
-        letter, j, is_start = self.slot_info(m)
-        base = 0
-        for lt, n in zip(BUNDLE_ORDER, self.counts):
-            if lt == letter:
-                other = base + (n - 1 - j)
-                return other + self.num_edges if is_start else other
-            base += n
-        raise AssertionError
+        return _at(self._tables[0], m)
 
     def label(self, m):
         """Knot-point label of slot m, in 1..t."""
@@ -212,37 +241,45 @@ class FaceReport:
         return sorted(r.length for r in self.disks)
 
 
-def _trace_circle(cfg, start, seen):
+def _trace_circle(cfg, start, seen, edge, h1_class):
+    """Trace the circle that leaves by slot start, marking its out slots in
+    seen; edge and h1_class are the per-slot tables of cfg."""
+    partner = cfg.partner
+    num_slots = len(seen)
     out_slots = []
     corners = []
     edges = []
-    h1 = (0, 0)
+    x = y = 0
     p = start
     while True:
         out_slots.append(p)
-        seen.add(p)
-        letter, _, is_start = cfg.slot_info(p)
-        edges.append(cfg.edge_of_slot(p))
-        cls = CLASSES[letter]
-        sign = 1 if is_start else -1
-        h1 = (h1[0] + sign * cls[0], h1[1] + sign * cls[1])
-        arrive = cfg.partner(p)
+        seen[p] = True
+        edges.append(edge[p])
+        dx, dy = h1_class[p]
+        x += dx
+        y += dy
+        arrive = partner(p)
         corners.append(arrive)
-        p = (arrive + 1) % cfg.num_slots
+        p = arrive + 1
+        if p == num_slots:
+            p = 0
         if p == start:
             break
-    colors = {cfg.corner_color(g) for g in corners}
-    color = colors.pop() if len(colors) == 1 else None
-    return Circle(tuple(out_slots), tuple(corners), frozenset(edges), h1, color)
+    color = None
+    # at t = 2 the colour of corner g depends only on the parity of g
+    if cfg.t == 2 and len({g % 2 for g in corners}) == 1:
+        color = cfg.corner_color(corners[0])
+    return Circle(tuple(out_slots), tuple(corners), frozenset(edges), (x, y), color)
 
 
 def faces(cfg: ArcSystemConfig) -> FaceReport:
     """Trace all complementary regions of the arc system in the torus."""
-    seen = set()
+    _, edge, h1_class = cfg._tables
+    seen = [False] * cfg.num_slots
     circles = []
-    for start in range(cfg.num_slots):
-        if start not in seen:
-            circles.append(_trace_circle(cfg, start, seen))
+    for start, done in enumerate(seen):
+        if not done:
+            circles.append(_trace_circle(cfg, start, seen, edge, h1_class))
     assert sum(c.length for c in circles) == cfg.num_slots
     essential = [c for c in circles if c.is_essential]
     null = [c for c in circles if not c.is_essential]
@@ -287,8 +324,9 @@ def scharlemann_cycles(cfg) -> tuple:
             continue
         v = sides.pop()
         pair = frozenset({v + 1, (v + 1) % cfg.t + 1})
-        if all(frozenset({cfg.label(m), cfg.label(cfg.partner(m))}) == pair
-               for m in circle.out_slots):
+        # corners[i] is the partner of out_slots[i]
+        if all(frozenset({cfg.label(m), cfg.label(g)}) == pair
+               for m, g in zip(circle.out_slots, circle.corners)):
             out.append(ScharlemannCycle(circle.edges, circle.length, pair,
                                         region.color))
     return tuple(out)
@@ -323,7 +361,7 @@ def enumerate_configs(t, max_parallel, require_max=False, s_range=None):
                 if require_max and a != max_parallel:
                     continue
                 cfg = ArcSystemConfig(s, t, a, b, c, 0)
-                if parity_check(cfg):
+                if parity_check_closed_form(cfg):
                     out.append(cfg)
     out.sort(key=lambda cfg: (cfg.s, cfg.counts))
     return out

@@ -28,9 +28,10 @@ class Grid1Knot:
     n: int
 
     def __post_init__(self):
-        assert self.r >= 2
-        assert gcd(self.r, self.q) == 1
-        assert 1 <= self.n <= self.r - 1
+        if self.r < 2 or gcd(self.r, self.q) != 1:
+            raise ValueError(f"L({self.r},{self.q}) needs r >= 2 and gcd(r,q) = 1")
+        if not 1 <= self.n <= self.r - 1:
+            raise ValueError(f"n must lie in 1..{self.r - 1}, got {self.n}")
 
     @property
     def n_along_other_curve(self):

@@ -47,9 +47,12 @@ class AbelianGroup:
     torsion: tuple
 
     def __post_init__(self):
-        assert self.rank >= 0
-        assert all(d >= 2 for d in self.torsion)
-        assert all(b % a == 0 for a, b in zip(self.torsion, self.torsion[1:]))
+        if self.rank < 0:
+            raise ValueError(f"rank must be nonnegative, got {self.rank}")
+        if any(d < 2 for d in self.torsion):
+            raise ValueError(f"torsion coefficients must be at least 2, got {self.torsion}")
+        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
+            raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
 
     def order(self):
         if self.rank > 0:
@@ -294,8 +297,15 @@ def link_from_obj(obj) -> FramedLink:
     missing = [key for key in ("linking", "coefficients") if key not in obj]
     if missing:
         raise ValueError(f"link file lacks {', '.join(missing)}")
-    return FramedLink.make(obj["linking"],
-                           [_coeff_from_str(s) for s in obj["coefficients"]],
+    linking, coefficients = obj["linking"], obj["coefficients"]
+    if not (isinstance(linking, list)
+            and all(isinstance(row, list) and all(type(v) is int for v in row)
+                    for row in linking)):
+        raise ValueError("linking must be a list of lists of integers")
+    if not (isinstance(coefficients, list)
+            and all(isinstance(c, str) for c in coefficients)):
+        raise ValueError('coefficients must be a list of strings like "-5/2"')
+    return FramedLink.make(linking, [_coeff_from_str(c) for c in coefficients],
                            obj.get("name"))
 
 

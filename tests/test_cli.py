@@ -1,10 +1,16 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from lensknots.cli import run
 from lensknots.families import FamilyInstance, instantiate
 from lensknots.surgery import link_to_json, unknot, whitehead
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def out_of(capsys):
@@ -104,11 +110,19 @@ def test_homology_file_errors(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
-@pytest.mark.parametrize("text", [
-    '{"schema_version": 1, "linking": [[0, 1], [2, 0]], "coefficients": ["1", "1"]}',
-    '[{"schema_version": 1}]',
-    '{"schema_version": 1, "linking": [[0]]}',
-], ids=["asymmetric", "list", "no-coefficients"])
+MALFORMED_LINKS = {
+    "asymmetric": '{"schema_version": 1, "linking": [[0, 1], [2, 0]], "coefficients": ["1", "1"]}',
+    "list": '[{"schema_version": 1}]',
+    "no-coefficients": '{"schema_version": 1, "linking": [[0]]}',
+    "null-linking-entry": '{"schema_version": 1, "linking": [[0, null], [null, 0]], "coefficients": ["1", "1"]}',
+    "null-coefficient": '{"schema_version": 1, "linking": [[0]], "coefficients": [null]}',
+    "numeric-coefficient": '{"schema_version": 1, "linking": [[0]], "coefficients": [3]}',
+    "flat-linking": '{"schema_version": 1, "linking": [0], "coefficients": ["1"]}',
+    "string-coefficients": '{"schema_version": 1, "linking": [[0]], "coefficients": "3"}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_LINKS.values(), ids=MALFORMED_LINKS.keys())
 def test_homology_malformed_link(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -116,6 +130,30 @@ def test_homology_malformed_link(tmp_path, capsys, text):
     out, err = out_of(capsys)
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", [
+    "enum-graphs --t 3 --max-parallel 2",
+    "enum-graphs --t 2 --max-parallel 0",
+    *(f"link:{name}" for name in MALFORMED_LINKS),
+])
+def test_bad_input_exits_2_under_python_O(tmp_path, case):
+    """Input validation must not rest on assert, which python -O strips."""
+    if case.startswith("link:"):
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED_LINKS[case[len("link:"):]])
+        argv = ["homology", "--link", str(path)]
+    else:
+        argv = case.split()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-m", "lensknots", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_mcg_identity(capsys):

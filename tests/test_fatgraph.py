@@ -4,9 +4,10 @@ import pathlib
 import pytest
 from hypothesis import given, strategies as st
 
-from lensknots.fatgraph import (ArcSystemConfig, enumerate_configs, faces,
-                                parity_check, parity_check_closed_form,
-                                scharlemann_cycles)
+from lensknots.fatgraph import (BUNDLE_ORDER, CLASSES, ArcSystemConfig, Circle,
+                                FaceReport, Region, ScharlemannCycle,
+                                enumerate_configs, faces, parity_check,
+                                parity_check_closed_form, scharlemann_cycles)
 
 DATA = pathlib.Path(__file__).parent / "data" / "figure_faces.json"
 
@@ -118,10 +119,30 @@ def test_build_and_validation():
             == ArcSystemConfig(4, 2, 3, 1, 0))
     with pytest.raises(ValueError):
         ArcSystemConfig(3, 2, 1, 1, 0)  # 2 arcs but s*t/2 = 3
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ArcSystemConfig(2, 3, 3, 0, 0)  # odd t
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ArcSystemConfig(0, 2, 0, 0, 0)
+
+
+@pytest.mark.parametrize("args", [
+    (1, 2, 2, -1, 0),       # negative multiplicity
+    (1, 2, 1, 0, 0, 2),     # offset beyond t - 1
+    (1, 2, 1, 0, 0, -1),    # negative offset
+    (-1, 2, -1, 0, 0),      # s < 1 with a matching sum
+    (1, 0, 0, 0, 0),        # t < 2
+])
+def test_invalid_configs_raise_value_error(args):
+    with pytest.raises(ValueError):
+        ArcSystemConfig(*args)
+
+
+def test_slots_out_of_range_raise_index_error():
+    cfg = ArcSystemConfig(3, 2, 1, 1, 1)
+    for m in (-2, -1, 6, 7):
+        for lookup in (cfg.partner, cfg.slot_info, cfg.edge_of_slot):
+            with pytest.raises(IndexError):
+                lookup(m)
 
 
 def test_scharlemann_cycle_definition():
@@ -164,3 +185,114 @@ def test_slot_partner_involution(s, a, b, c):
         assert partner != m
         assert cfg.partner(partner) == m
         assert cfg.edge_of_slot(partner) == cfg.edge_of_slot(m)
+
+
+# --- a scan-based reference for the table-driven tracer ----------------------
+#
+# The pairing re-derived for every slot by walking the bundles, and the
+# circles traced from it, as first written; faces() must agree with it
+# field for field.
+
+def ref_slot_info(cfg, m):
+    e = cfg.num_edges
+    is_start = m < e
+    m = m % e
+    for letter, n in zip(BUNDLE_ORDER, cfg.counts):
+        if m < n:
+            return letter, m, is_start
+        m -= n
+    raise AssertionError
+
+
+def ref_edge_of_slot(cfg, m):
+    letter, j, is_start = ref_slot_info(cfg, m)
+    n = dict(zip(BUNDLE_ORDER, cfg.counts))[letter]
+    return (letter, j if is_start else n - 1 - j)
+
+
+def ref_partner(cfg, m):
+    letter, j, is_start = ref_slot_info(cfg, m)
+    base = 0
+    for lt, n in zip(BUNDLE_ORDER, cfg.counts):
+        if lt == letter:
+            other = base + (n - 1 - j)
+            return other + cfg.num_edges if is_start else other
+        base += n
+    raise AssertionError
+
+
+def ref_trace_circle(cfg, start, seen):
+    out_slots, corners, edges = [], [], []
+    h1 = (0, 0)
+    p = start
+    while True:
+        out_slots.append(p)
+        seen.add(p)
+        letter, _, is_start = ref_slot_info(cfg, p)
+        edges.append(ref_edge_of_slot(cfg, p))
+        cls = CLASSES[letter]
+        sign = 1 if is_start else -1
+        h1 = (h1[0] + sign * cls[0], h1[1] + sign * cls[1])
+        arrive = ref_partner(cfg, p)
+        corners.append(arrive)
+        p = (arrive + 1) % cfg.num_slots
+        if p == start:
+            break
+    colors = {cfg.corner_color(g) for g in corners}
+    color = colors.pop() if len(colors) == 1 else None
+    return Circle(tuple(out_slots), tuple(corners), frozenset(edges), h1, color)
+
+
+def ref_faces(cfg):
+    seen = set()
+    circles = [ref_trace_circle(cfg, start, seen)
+               for start in range(cfg.num_slots) if start not in seen]
+    regions = [Region("disk", (c,), c.color) for c in circles if not c.is_essential]
+    essential = [c for c in circles if c.is_essential]
+    if essential:
+        a, b = essential
+        colors = {a.color, b.color}
+        regions.append(Region("annulus", (a, b),
+                              colors.pop() if len(colors) == 1 else None))
+    return FaceReport(cfg, tuple(circles), tuple(regions))
+
+
+def ref_scharlemann_cycles(report):
+    cfg = report.config
+    out = []
+    for region in report.disks:
+        circle = region.circles[0]
+        sides = {cfg.corner_side(g) for g in circle.corners}
+        if len(sides) != 1:
+            continue
+        v = sides.pop()
+        pair = frozenset({v + 1, (v + 1) % cfg.t + 1})
+        if all(frozenset({cfg.label(m), cfg.label(ref_partner(cfg, m))}) == pair
+               for m in circle.out_slots):
+            out.append(ScharlemannCycle(circle.edges, circle.length, pair,
+                                        region.color))
+    return tuple(out)
+
+
+@st.composite
+def configs(draw, max_edges=40):
+    t = draw(st.sampled_from((2, 4, 6)))
+    s = draw(st.integers(1, 2 * max_edges // t))
+    e = s * t // 2
+    a = draw(st.integers(0, e))
+    b = draw(st.integers(0, e - a))
+    return ArcSystemConfig(s, t, a, b, e - a - b, draw(st.integers(0, t - 1)))
+
+
+@given(configs())
+def test_tables_agree_with_scan_reference(cfg):
+    for m in range(cfg.num_slots):
+        assert cfg.slot_info(m) == ref_slot_info(cfg, m)
+        assert cfg.edge_of_slot(m) == ref_edge_of_slot(cfg, m)
+        assert cfg.partner(m) == ref_partner(cfg, m)
+    report = faces(cfg)
+    ref = ref_faces(cfg)
+    assert report == ref
+    assert scharlemann_cycles(cfg) == ref_scharlemann_cycles(ref)
+    assert scharlemann_cycles(report) == scharlemann_cycles(cfg)
+    assert parity_check(cfg) == parity_check_closed_form(cfg)

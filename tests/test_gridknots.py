@@ -67,11 +67,11 @@ def test_grid1_knot_object():
     assert knot.n_along_other_curve == 4
     # counting along the other curve preserves the homology order
     assert grid1_order(knot.n_along_other_curve, 12) == 3
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Grid1Knot(12, 4, 1)  # q not a unit
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Grid1Knot(12, 5, 0)  # marking separation out of range
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Grid1Knot(12, 5, 12)
 
 
