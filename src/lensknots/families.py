@@ -126,7 +126,8 @@ class FamilyInstance:
 
     @classmethod
     def from_dict(cls, d) -> "FamilyInstance":
-        assert d.get("schema_version") == 1
+        if d.get("schema_version") != 1:
+            raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
         return cls(
             family=FamilyId(d["family"]),
             k=d["k"],
@@ -319,7 +320,9 @@ class FillingTableRow:
 def filling_table():
     text = resources.files("lensknots.data").joinpath("lens_fillings.json").read_text()
     obj = json.loads(text)
-    assert obj["schema_version"] == 1
+    if obj.get("schema_version") != 1:
+        raise ValueError(f"unsupported filling table schema_version "
+                         f"{obj.get('schema_version')!r}")
     rows = []
     for r in obj["rows"]:
         p = tuple(r["p"]) if isinstance(r["p"], list) else r["p"]
@@ -355,18 +358,22 @@ def coincidence_scan(maxk):
 
     Returns a list of ((family, k), (family, l)) pairs with coinciding
     spaces.  The expected output is the single II/III coincidence at
-    k = l = 1, where L(6,5) and L(6,1) are homeomorphic.
+    k = l = 1, where L(6,5) and L(6,1) are homeomorphic.  Family spaces are
+    normalized, so each pair of families is a hash join on the space, in
+    O(maxk) and in (f, g, k, l) order.
     """
-    assert maxk >= 1
+    if maxk < 1:
+        raise ValueError(f"maxk must be at least 1, got {maxk}")
     fams = (FamilyId.I, FamilyId.II, FamilyId.III)
+    spaces = {f: [family_space(f, k) for k in range(1, maxk + 1)] for f in fams}
     out = []
     for i, f in enumerate(fams):
         for g in fams[i + 1:]:
-            for k in range(1, maxk + 1):
-                sf = family_space(f, k)
-                for l in range(1, maxk + 1):
-                    if is_homeomorphic(sf, family_space(g, l)):
-                        out.append(((f, k), (g, l)))
+            ls_of = {}
+            for l, space in enumerate(spaces[g], 1):
+                ls_of.setdefault(space, []).append(l)
+            out += [((f, k), (g, l)) for k, space in enumerate(spaces[f], 1)
+                    for l in ls_of.get(space, ())]
     return out
 
 

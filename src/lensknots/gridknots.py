@@ -54,6 +54,12 @@ def grid1_order(n, r):
     return r // gcd(n, r)
 
 
+def _check_grid(r, q, da, db):
+    if r < 2 or gcd(r, q) != 1 or da < 1 or db < 1:
+        raise ValueError(f"grid needs r >= 2, gcd(r,q) = 1 and da, db >= 1, "
+                         f"got r={r}, q={q}, da={da}, db={db}")
+
+
 def torus_knot_sequence(r, qdot, da, db):
     """Level sequence of a (da,db) torus knot candidate on the r-grid.
 
@@ -63,7 +69,7 @@ def torus_knot_sequence(r, qdot, da, db):
     entries distinct and nonzero, so the strands embed disjointly in the
     grid; returns None otherwise.
     """
-    assert r >= 2 and gcd(qdot, r) == 1 and da >= 1 and db >= 1
+    _check_grid(r, qdot, da, db)
     seq = list(range(da + 1))
     seq.extend((da + i * qdot) % r for i in range(1, db + 1))
     if seq[-1] != 0:
@@ -81,7 +87,7 @@ def find_torus_grid_witness(r, q, da, db):
     the four grid parameters equivalent to q under the symmetries of the
     diagram.  Returns (qdot, sequence) for the first success, else None.
     """
-    assert r >= 2 and gcd(r, q) == 1
+    _check_grid(r, q, da, db)
     qinv = pow(q, -1, r)
     for qdot in (q % r, (r - q) % r, qinv, (r - qinv) % r):
         seq = torus_knot_sequence(r, qdot, da, db)

@@ -7,10 +7,16 @@ curves; on first homology of the torus these act by
 
 and the induced map word -> SL(2,Z) (left-to-right product) is faithful up
 to the usual Nielsen-Thurston trichotomy on the trace.  Conjugacy classes
-are separated, up to sign of the matrix, by a normal form in
-PSL(2,Z) = Z/2 * Z/3: torsion symbols for periodic classes, an invariant
-integer for reducible ones, and a cyclic word in R and L for pseudo-Anosov
-ones.
+are separated, up to sign of the matrix, by a label read off a reduced
+conjugate: torsion symbols for periodic classes, an invariant integer for
+reducible ones, and a cyclic word in R = x and L = y^-1 for pseudo-Anosov
+ones.  The label is computed on integers alone: conjugating by powers of
+x and y shrinks the off-diagonal entries until they share a sign (a Gauss
+reduction), a pseudo-Anosov matrix is then made positive and peeled into
+runs R^n, L^n by the Euclidean algorithm, and Booth's algorithm picks the
+least rotation over the runs.  The label is run-length encoded (LRRR is
+"LR^3", LR stays "LR"), so its cost grows with the number of runs, not
+with the size of the exponents.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from math import gcd
-
-from .surgery import AbelianGroup, _solve_bezout
+from .surgery import AbelianGroup
 
 TWIST_X = ((1, 1), (0, 1))
 TWIST_Y = ((1, 0), (-1, 1))
@@ -172,73 +176,12 @@ def lens_filling_word(k, l) -> MappingWord:
     return MappingWord((("x", k), ("y", 2), ("x", l), ("y", -1))).normalize()
 
 
-# --- conjugacy normal form in PSL(2,Z) = Z/2 * Z/3 ---------------------------
+# --- conjugacy label from a positive conjugate --------------------------------
 #
-# Letters of the free product: ("s",) of order two and ("r", e) with e in
-# {1, 2} of order three.  The translation uses S = [[0,-1],[1,0]] and
-# T = [[1,1],[0,1]], for which rho = S*T has order three, T = s*rho and
-# T^-1 = rho^2*s as elements of the quotient by the center.
-
-_S = ("s",)
-
-
-def _push(stack, letter):
-    if stack and stack[-1][0] == letter[0]:
-        if letter[0] == "s":
-            stack.pop()
-        else:
-            e = (stack[-1][1] + letter[1]) % 3
-            stack.pop()
-            if e:
-                stack.append(("r", e))
-    else:
-        stack.append(letter)
-
-
-def _free_reduce(letters):
-    stack = []
-    for letter in letters:
-        _push(stack, letter)
-    return stack
-
-
-def _cyclic_reduce(word):
-    word = list(word)
-    while len(word) >= 2 and word[0][0] == word[-1][0]:
-        last = word.pop()
-        first = word.pop(0)
-        if last[0] == "s":
-            pass  # s*s = identity, both ends vanish
-        else:
-            e = (last[1] + first[1]) % 3
-            if e:
-                word.insert(0, ("r", e))
-    return word
-
-
-def _append_t_power(letters, n):
-    """Append the letters of T^n: T = s r, T^-1 = r^2 s."""
-    if n >= 0:
-        letters.extend([_S, ("r", 1)] * n)
-    else:
-        letters.extend([("r", 2), _S] * (-n))
-
-
-def _psl_letters(m):
-    """Peel m into S/T factors by the Euclidean algorithm, as letters."""
-    a, b = m[0]
-    c, d = m[1]
-    letters = []
-    while c != 0:
-        q = a // c
-        _append_t_power(letters, q)
-        letters.append(_S)
-        # m <- S^-1 T^-q m = [[c, d], [-(a - q c), -(b - q d)]]
-        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
-    # tail is +-T^(b/a) with a = +-1
-    assert abs(a) == 1
-    _append_t_power(letters, b * a)
-    return letters
+# R = x = [[1,1],[0,1]] and L = y^-1 = [[1,0],[1,1]].  A run of n equal
+# letters is keyed (1, n) for R and (0, -n) for L: on maximal alternating
+# runs, comparing keys orders the words as comparing their letters does
+# (L < R, and a longer L run or a shorter R run comes first).
 
 
 def conjugacy_invariant(w) -> str:
@@ -247,48 +190,65 @@ def conjugacy_invariant(w) -> str:
 
     Periodic classes give "identity", "s", "r" or "r2"; reducible classes
     give "parabolic:n" with n the invariant twisting integer; pseudo-Anosov
-    classes give the cyclic R/L word in its lexicographically least rotation.
+    classes give the cyclic R/L word of a positive conjugate in its least
+    rotation, run-length encoded with unit runs as bare letters ("LR^3"
+    for LRRR).
     """
-    m = evaluate(w)
-    t = trace(m)
-    if abs(t) == 2 and m not in (IDENTITY, ((-1, 0), (0, -1))):
-        return f"parabolic:{_parabolic_invariant(m)}"
-    word = _cyclic_reduce(_free_reduce(_psl_letters(m)))
-    if not word:
-        return "identity"
-    if len(word) == 1:
-        if word[0][0] == "s":
-            return "s"
-        return "r" if word[0][1] == 1 else "r2"
-    # alternating word of even length: read off (s r^e) pairs
-    assert len(word) % 2 == 0
-    if word[0][0] != "s":
-        word = word[-1:] + word[:-1]
-    pairs = []
-    for i in range(0, len(word), 2):
-        assert word[i][0] == "s" and word[i + 1][0] == "r"
-        pairs.append("R" if word[i + 1][1] == 1 else "L")
-    assert "R" in pairs and "L" in pairs  # pure powers of T are not hyperbolic
-    return _least_rotation("".join(pairs))
+    (a, b), (c, d) = evaluate(w)
+    if a + d < 0:
+        a, b, c, d = -a, -b, -c, -d
+    t = a + d
+    if t < 2:
+        # elliptic: b*c < 0, and the sign of c is that of the definite
+        # quadratic form c x^2 + (d-a) x y - b y^2 fixed by the matrix
+        return "s" if t == 0 else "r" if c > 0 else "r2"
+    while b * c < 0:
+        # conjugate by x^k or y^-j to bring a - d within the smaller of
+        # |b|, |c|; |b*c| drops to at most a quarter of its value each step
+        if abs(c) <= abs(b):
+            k = (a - d + c) // (2 * c)
+            a, b, d = a - k * c, b + k * (a - d) - k * k * c, d + k * c
+        else:
+            j = (d - a + b) // (2 * b)
+            a, c, d = a + j * b, c + j * (d - a) - j * j * b, d - j * b
+    if t == 2:
+        # b*c >= 0 at trace 2 leaves [[1,n],[0,1]] or [[1,0],[-n,1]]
+        return "identity" if b == c == 0 else f"parabolic:{b - c}"
+    if b < 0:  # conjugate by S = [[0,-1],[1,0]] to make every entry positive
+        a, b, c, d = d, -c, -b, a
+    runs = []
+    while b or c:  # peel the runs of R and L off the left by Euclid
+        if a > c:
+            n = b // d if c == 0 else min(a // c, b // d)
+            a, b = a - n * c, b - n * d
+            runs.append((1, n))
+        else:
+            n = c // a if b == 0 else min(c // a, d // b)
+            c, d = c - n * a, d - n * b
+            runs.append((0, -n))
+    if runs[0][0] == runs[-1][0]:  # merge the runs meeting at the cyclic seam
+        letter, n = runs.pop()
+        runs[0] = (letter, runs[0][1] + n)
+    i = _booth_start(runs)
+    return "".join("LR"[letter] + (f"^{abs(n)}" if abs(n) > 1 else "")
+                   for letter, n in runs[i:] + runs[:i])
 
 
-def _least_rotation(s):
-    return min(s[i:] + s[:i] for i in range(len(s)))
-
-
-def _parabolic_invariant(m):
-    """The integer n with m conjugate to [[1,n],[0,1]] up to sign."""
-    if trace(m) == -2:
-        m = ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))
-    n00, n01 = m[0][0] - 1, m[0][1]
-    n10, n11 = m[1][0], m[1][1] - 1
-    row = (n00, n01) if (n00, n01) != (0, 0) else (n10, n11)
-    g = gcd(row[0], row[1])
-    v = (-row[1] // g, row[0] // g)  # primitive eigenvector
-    w1, w0 = _solve_bezout(*v)  # v0*w1 - v1*w0 = 1 completes v to a basis
-    nw = (n00 * w0 + n01 * w1, n10 * w0 + n11 * w1)
-    # N w = n v for the twisting integer n
-    n = nw[0] // v[0] if v[0] != 0 else nw[1] // v[1]
-    assert (n * v[0], n * v[1]) == nw
-    assert n != 0
-    return n
+def _booth_start(keys):
+    """Start of the lexicographically least rotation (Booth's algorithm)."""
+    s = keys + keys
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        i = fail[j - k - 1]
+        while i != -1 and s[j] != s[k + i + 1]:
+            if s[j] < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if s[j] != s[k + i + 1]:  # here i == -1
+            if s[j] < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k

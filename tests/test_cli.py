@@ -132,6 +132,15 @@ def test_homology_malformed_link(tmp_path, capsys, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def python_O(*args):
+    """Run python -O (asserts stripped) with the package on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-O", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("case", [
     "enum-graphs --t 3 --max-parallel 2",
     "enum-graphs --t 2 --max-parallel 0",
@@ -145,15 +154,30 @@ def test_bad_input_exits_2_under_python_O(tmp_path, case):
         argv = ["homology", "--link", str(path)]
     else:
         argv = case.split()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-m", "lensknots", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = python_O("-m", "lensknots", *argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+LIBRARY_VALIDATIONS = {
+    "from_dict": "from lensknots.families import FamilyInstance, instantiate; "
+                 "FamilyInstance.from_dict({**instantiate('I', 3).to_dict(), "
+                 "'schema_version': 7})",
+    "coincidence_scan": "from lensknots.families import coincidence_scan; "
+                        "coincidence_scan(0)",
+    "torus_knot_sequence": "from lensknots.gridknots import torus_knot_sequence; "
+                           "torus_knot_sequence(0, 1, 1, 1)",
+}
+
+
+@pytest.mark.parametrize("code", LIBRARY_VALIDATIONS.values(),
+                         ids=LIBRARY_VALIDATIONS.keys())
+def test_library_validation_under_python_O(code):
+    proc = python_O("-c", code)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ValueError:"), proc.stderr
 
 
 def test_mcg_identity(capsys):
@@ -172,6 +196,12 @@ def test_mcg_word(capsys):
     assert "trace: -3" in out
     assert "class: pseudo-Anosov (trace -3)" in out
     assert "conjugacy invariant: LR" in out
+
+
+def test_mcg_huge_exponent(capsys):
+    assert run(["mcg", "--word", "x^100000000000 y"]) == 0
+    out, _ = out_of(capsys)
+    assert "conjugacy invariant: LR^99999999996" in out.splitlines()
 
 
 def test_grid_success(capsys):

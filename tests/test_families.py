@@ -2,10 +2,11 @@ import dataclasses
 
 import pytest
 
+from lensknots import families
 from lensknots.families import (FamilyId, FamilyInstance, coincidence_scan,
                                 family_space, filling_table, gof_filling,
                                 instantiate, torus_knot_types, verify)
-from lensknots.lenspaces import LensSpace, Slope, normalize
+from lensknots.lenspaces import LensSpace, Slope, is_homeomorphic, normalize
 from lensknots.mcg import MappingWord
 
 
@@ -128,6 +129,32 @@ def test_round_trip():
         assert FamilyInstance.from_dict(inst.to_dict()) == inst
 
 
+def test_from_dict_rejects_other_schema_versions():
+    d = instantiate("I", 3).to_dict()
+    for version in (7, None):
+        with pytest.raises(ValueError):
+            FamilyInstance.from_dict({**d, "schema_version": version})
+    d.pop("schema_version")
+    with pytest.raises(ValueError):
+        FamilyInstance.from_dict(d)
+
+
+def test_filling_table_rejects_other_schema_versions(monkeypatch):
+    class Data:  # stands in for importlib.resources on the package data
+        def files(self, package):
+            return self
+
+        def joinpath(self, name):
+            return self
+
+        def read_text(self):
+            return '{"schema_version": 2, "rows": []}'
+
+    monkeypatch.setattr(families, "resources", Data())
+    with pytest.raises(ValueError):
+        filling_table.__wrapped__()  # past the lru_cache
+
+
 def test_filling_table_contents():
     rows = filling_table()
     assert len(rows) == 4
@@ -152,6 +179,21 @@ def test_coincidences():
     assert not any(FamilyId.I in (a[0], b[0]) for a, b in found)
     # the II/III coincidence is L(6,5) = L(6,1)
     assert family_space("II", 1) == family_space("III", 1) == LensSpace(6, 1)
+
+
+def test_coincidence_scan_matches_nested_loop():
+    fams = (FamilyId.I, FamilyId.II, FamilyId.III)
+    top = 60
+    brute = [((f, k), (g, l))
+             for i, f in enumerate(fams) for g in fams[i + 1:]
+             for k in range(1, top + 1) for l in range(1, top + 1)
+             if is_homeomorphic(family_space(f, k), family_space(g, l))]
+    for maxk in range(1, top + 1):
+        # the nested loop up to maxk is the one up to top, cut to k, l <= maxk
+        want = [p for p in brute if p[0][1] <= maxk and p[1][1] <= maxk]
+        assert coincidence_scan(maxk) == want, maxk
+    with pytest.raises(ValueError):
+        coincidence_scan(0)
 
 
 def test_torus_knot_types():

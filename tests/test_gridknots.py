@@ -101,3 +101,17 @@ def test_sequence_shape(r, qdot, da, db):
     interior = seq[1:-1]
     assert len(set(interior)) == len(interior)
     assert 0 not in interior
+
+
+@pytest.mark.parametrize("args", [
+    (1, 1, 2, 3),   # r < 2
+    (0, 1, 1, 1),
+    (6, 3, 2, 3),   # gcd(r, q) != 1
+    (5, 1, 0, 3),   # da < 1
+    (5, 1, 2, 0),   # db < 1
+])
+def test_bad_grid_arguments_raise_value_error(args):
+    with pytest.raises(ValueError):
+        torus_knot_sequence(*args)
+    with pytest.raises(ValueError):
+        find_torus_grid_witness(*args)

@@ -1,10 +1,14 @@
+import itertools
+import re
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lensknots.mcg import (IDENTITY, TWIST_X, TWIST_Y, MappingWord, NTClass,
                            bundle_h1, classify, conjugacy_invariant, evaluate,
                            lens_filling_word, mat_inv, mat_mul, trace)
-from lensknots.surgery import UNFILLED, AbelianGroup, h1, whitehead
+from lensknots.surgery import UNFILLED, AbelianGroup, _solve_bezout, h1, whitehead
 
 
 def test_twist_matrices():
@@ -146,3 +150,136 @@ def test_classify_matches_trace(w):
         for _ in range(c.order):
             power = mat_mul(power, m)
         assert power == IDENTITY
+
+
+# --- reference oracle: the unary normal form in PSL(2,Z) = Z/2 * Z/3 --------
+#
+# The free-product reduction that conjugacy_invariant used before it read
+# the label off a positive conjugate.  Letters are ("s",) of order two and
+# ("r", e), e in {1, 2}, of order three, with S = [[0,-1],[1,0]],
+# T = [[1,1],[0,1]], rho = S*T, T = s*rho and T^-1 = rho^2*s modulo the
+# center.  It writes one letter per unit of exponent, so keep words short.
+
+_S = ("s",)
+
+
+def _push(stack, letter):
+    if stack and stack[-1][0] == letter[0]:
+        if letter[0] == "s":
+            stack.pop()
+        else:
+            e = (stack[-1][1] + letter[1]) % 3
+            stack.pop()
+            if e:
+                stack.append(("r", e))
+    else:
+        stack.append(letter)
+
+
+def _cyclic_reduce(word):
+    word = list(word)
+    while len(word) >= 2 and word[0][0] == word[-1][0]:
+        last = word.pop()
+        first = word.pop(0)
+        if last[0] != "s":
+            e = (last[1] + first[1]) % 3
+            if e:
+                word.insert(0, ("r", e))
+    return word
+
+
+def _append_t_power(letters, n):
+    if n >= 0:
+        letters.extend([_S, ("r", 1)] * n)
+    else:
+        letters.extend([("r", 2), _S] * (-n))
+
+
+def _psl_letters(m):
+    a, b = m[0]
+    c, d = m[1]
+    letters = []
+    while c != 0:
+        q = a // c
+        _append_t_power(letters, q)
+        letters.append(_S)
+        a, b, c, d = c, d, -(a - q * c), -(b - q * d)
+    assert abs(a) == 1
+    _append_t_power(letters, b * a)
+    return letters
+
+
+def _parabolic_invariant(m):
+    if trace(m) == -2:
+        m = ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))
+    n00, n01 = m[0][0] - 1, m[0][1]
+    n10, n11 = m[1][0], m[1][1] - 1
+    row = (n00, n01) if (n00, n01) != (0, 0) else (n10, n11)
+    g = gcd(row[0], row[1])
+    v = (-row[1] // g, row[0] // g)
+    w1, w0 = _solve_bezout(*v)
+    nw = (n00 * w0 + n01 * w1, n10 * w0 + n11 * w1)
+    n = nw[0] // v[0] if v[0] != 0 else nw[1] // v[1]
+    assert (n * v[0], n * v[1]) == nw and n != 0
+    return n
+
+
+def reference_invariant(m):
+    """The unary label: "LRRR" where conjugacy_invariant gives "LR^3"."""
+    if abs(trace(m)) == 2 and m not in (IDENTITY, ((-1, 0), (0, -1))):
+        return f"parabolic:{_parabolic_invariant(m)}"
+    stack = []
+    for letter in _psl_letters(m):
+        _push(stack, letter)
+    word = _cyclic_reduce(stack)
+    if not word:
+        return "identity"
+    if len(word) == 1:
+        return "s" if word[0][0] == "s" else "r" if word[0][1] == 1 else "r2"
+    if word[0][0] != "s":
+        word = word[-1:] + word[:-1]
+    pairs = "".join("R" if word[i + 1][1] == 1 else "L"
+                    for i in range(0, len(word), 2))
+    return min(pairs[i:] + pairs[:i] for i in range(len(pairs)))
+
+
+def unary(label):
+    return re.sub(r"([LR])\^(\d+)", lambda g: g[1] * int(g[2]), label)
+
+
+syllables = st.lists(st.tuples(st.sampled_from("xy"), st.integers(-12, 12)),
+                     min_size=0, max_size=8).map(tuple)
+
+
+@settings(max_examples=500)
+@given(syllables)
+def test_run_length_label_matches_reference(w):
+    m = word_matrix(w)
+    assert unary(conjugacy_invariant(m)) == reference_invariant(m)
+
+
+def test_four_syllable_sweep_matches_reference():
+    parabolic = 0
+    for e in itertools.product(range(-4, 5), repeat=4):
+        m = word_matrix(tuple(zip("xyxy", e)))
+        label = conjugacy_invariant(m)
+        assert unary(label) == reference_invariant(m), e
+        parabolic += label.startswith("parabolic:")
+    assert parabolic == 734
+
+
+@settings(max_examples=200)
+@given(syllables)
+def test_label_of_cube_repeats_label(w):
+    m = word_matrix(w)
+    if abs(trace(m)) <= 2:
+        return
+    label = conjugacy_invariant(m)
+    assert unary(label)[0] == "L" and unary(label)[-1] == "R"  # runs close up
+    assert conjugacy_invariant(mat_mul(mat_mul(m, m), m)) == label * 3
+
+
+def test_huge_exponents_stay_run_length():
+    n = 10 ** 40
+    assert conjugacy_invariant(f"x^{n} y^-{n}") == f"L^{n}R^{n}"
+    assert conjugacy_invariant(f"x^{n} y^-3 x^-{n}") == "parabolic:-3"
