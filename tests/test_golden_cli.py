@@ -16,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 from lensknots.cli import run
-from lensknots.surgery import link_to_json, unknot, whitehead
+from lensknots.surgery import chain3, link_to_json, unknot, whitehead
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.txt"
 
@@ -24,9 +24,12 @@ LINKS = {
     "whitehead.json": whitehead("-3", "-5/2"),
     "unknot.json": unknot("0"),
     "unfilled.json": whitehead("-3", None),
+    "chain3.json": chain3("2", "3", "3"),
+    "whitehead-0-1.json": whitehead("0", "1"),
 }
 
-WORDS = ("", "x y", "x^2 y", "x y x y x y", "x^3 y^-1", "x^100 y^-7 x^2")
+WORDS = ("", "x y", "x^2 y", "x^3 y", "x y x y x y", "x^3 y^-1",
+         "x^100 y^-7 x^2")
 
 
 def commands():
