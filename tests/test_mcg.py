@@ -3,12 +3,13 @@ import re
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lensknots.mcg import (IDENTITY, TWIST_X, TWIST_Y, MappingWord, NTClass,
                            bundle_h1, classify, conjugacy_invariant, evaluate,
-                           lens_filling_word, mat_inv, mat_mul, trace)
-from lensknots.surgery import UNFILLED, AbelianGroup, _solve_bezout, h1, whitehead
+                           lens_filling_word, mat_mul, trace)
+from lensknots.surgery import UNFILLED, AbelianGroup, h1, whitehead
+from test_surgery import solve_bezout
 
 
 def test_twist_matrices():
@@ -32,6 +33,25 @@ def test_word_parse_and_normalize():
 def test_word_power_formula():
     for p in range(1, 8):
         assert evaluate(f"x^{p} y") == ((1 - p, p), (-1, 1))
+
+
+@settings(max_examples=200)
+@given(st.integers(-10 ** 40, 10 ** 40))
+@example(10 ** 40)
+@example(-10 ** 40)
+def test_twist_powers_are_closed_forms(e):
+    assert evaluate(f"x^{e}") == ((1, e), (0, 1))
+    assert evaluate(f"y^{e}") == ((1, 0), (-e, 1))
+
+
+def test_twist_powers_are_products_of_twists():
+    x_power, y_power = IDENTITY, IDENTITY
+    for e in range(13):
+        assert evaluate(f"x^{e}") == x_power
+        assert evaluate(f"y^{e}") == y_power
+        assert mat_mul(evaluate(f"x^-{e}"), x_power) == IDENTITY
+        assert mat_mul(evaluate(f"y^-{e}"), y_power) == IDENTITY
+        x_power, y_power = mat_mul(x_power, TWIST_X), mat_mul(y_power, TWIST_Y)
 
 
 def test_classify_small_powers():
@@ -122,7 +142,9 @@ def word_matrix(syllables):
 def test_conjugacy_invariant_is_conjugation_invariant(w, g):
     m = word_matrix(w)
     gm = word_matrix(g)
-    conj = mat_mul(mat_mul(gm, m), mat_inv(gm))
+    gm_inv = word_matrix(tuple((gen, -e) for gen, e in reversed(g)))
+    assert mat_mul(gm, gm_inv) == IDENTITY
+    conj = mat_mul(mat_mul(gm, m), gm_inv)
     assert conjugacy_invariant(conj) == conjugacy_invariant(m)
 
 
@@ -146,10 +168,11 @@ def test_classify_matches_trace(w):
         assert c.kind is NTClass.REDUCIBLE
     else:
         assert c.kind is NTClass.PERIODIC
+        # m^order is the identity and no smaller positive power is
         power = IDENTITY
-        for _ in range(c.order):
+        for k in range(1, c.order + 1):
             power = mat_mul(power, m)
-        assert power == IDENTITY
+            assert (power == IDENTITY) == (k == c.order), k
 
 
 # --- reference oracle: the unary normal form in PSL(2,Z) = Z/2 * Z/3 --------
@@ -217,7 +240,7 @@ def _parabolic_invariant(m):
     row = (n00, n01) if (n00, n01) != (0, 0) else (n10, n11)
     g = gcd(row[0], row[1])
     v = (-row[1] // g, row[0] // g)
-    w1, w0 = _solve_bezout(*v)
+    w1, w0 = solve_bezout(*v)
     nw = (n00 * w0 + n01 * w1, n10 * w0 + n11 * w1)
     n = nw[0] // v[0] if v[0] != 0 else nw[1] // v[1]
     assert (n * v[0], n * v[1]) == nw and n != 0

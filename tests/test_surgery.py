@@ -126,20 +126,76 @@ def test_core_order_examples():
         core_order(whitehead("-3", UNFILLED), 0)
 
 
-@given(st.integers(-8, 8), st.integers(1, 5), st.integers(-8, 8),
-       st.integers(1, 5), st.integers(-3, 3))
-def test_core_order_bezout_independent(p1, q1, p2, q2, t):
-    """Any Bezout solution gives the same order as the canonical one."""
-    if math.gcd(p1, q1) != 1 or math.gcd(p2, q2) != 1:
-        return
-    link = FramedLink.make(((0, 1), (1, 0)),
-                           (Slope.make(p1, q1), Slope.make(p2, q2)))
-    base = core_order(link, 0)
-    p, q = link.coefficients[0].p, link.coefficients[0].q
-    # shift the canonical solution along the solution line by t
-    from lensknots.surgery import _solve_bezout
-    d, c = _solve_bezout(p, q)
-    assert core_order(link, 0, bezout=(c + t * p, d + t * q)) == base
+# --- reference oracle: the core order from a Bezout solution -----------------
+#
+# The computation core_order used before it read the order off the meridian
+# and the longitude: the core is the class c*e_i + d*sum_j lk(i,j)*e_j for a
+# given (c, d) with p*d - q*c = 1, and its order is the quotient of the
+# torsion orders of H1 with and without that row added.
+
+
+def solve_bezout(p, q):
+    """Some (d, c) with p*d - q*c = 1; requires gcd(p,q) = 1."""
+    assert math.gcd(p, q) == 1
+    old_r, r = p, q
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    # p*old_s + q*old_t = old_r = +-1; rescale by old_r to hit exactly 1
+    d = old_s * old_r
+    c = -old_t * old_r
+    assert p * d - q * c == 1
+    return d, c
+
+
+def reference_core_order(link, i, bezout):
+    """Order of the core of component i, from the Bezout pair (c, d)."""
+    p, q = link.coefficients[i].p, link.coefficients[i].q
+    c, d = bezout
+    assert p * d - q * c == 1
+    n = link.num_components
+    v = [d * link.lk(i, j) for j in range(n)]
+    v[i] = c
+    rows = h1_presentation(link)
+    g = AbelianGroup.from_presentation(rows, n)
+    g2 = AbelianGroup.from_presentation(rows + [v], n)
+    if g2.rank < g.rank:
+        return INFINITE
+    order = math.prod(g.torsion) // math.prod(g2.torsion)
+    assert order * math.prod(g2.torsion) == math.prod(g.torsion)
+    return order
+
+
+@st.composite
+def closed_links(draw):
+    """Links of 1-4 components, linking numbers in -3..3, every one filled
+    (q = 0 gives the infinite slope)."""
+    n = draw(st.integers(1, 4))
+    linking = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            linking[i][j] = linking[j][i] = draw(st.integers(-3, 3))
+    slopes = st.tuples(st.integers(-8, 8), st.integers(0, 5)).filter(
+        lambda pq: pq != (0, 0))
+    coeffs = [Slope.make(*draw(slopes)) for _ in range(n)]
+    return FramedLink.make(linking, coeffs)
+
+
+@settings(max_examples=300)
+@given(closed_links(), st.integers(-3, 3).filter(bool))
+def test_core_order_bezout_independent(link, t):
+    """The reference gives core_order at two Bezout solutions t apart."""
+    for i in range(link.num_components):
+        p, q = link.coefficients[i].p, link.coefficients[i].q
+        d, c = solve_bezout(p, q)
+        base = core_order(link, i)
+        assert reference_core_order(link, i, (c, d)) == base
+        # shift the canonical solution along the solution line by t
+        assert reference_core_order(link, i, (c + t * p, d + t * q)) == base
 
 
 def test_blow_down_chain_to_whitehead():
