@@ -211,7 +211,8 @@ class Region:
     @property
     def length(self):
         """Number of corners, i.e. sides of the polygon, for a disk."""
-        assert self.kind == "disk"
+        if self.kind != "disk":
+            raise ValueError(f"an {self.kind} has no polygon length")
         return self.circles[0].length
 
     @property
@@ -323,45 +324,37 @@ def scharlemann_cycles(cfg) -> tuple:
         if len(sides) != 1:
             continue
         v = sides.pop()
+        # corners[i] is the partner of out_slots[i] and out_slots[i+1] is
+        # corners[i] + 1 (mod s*t), so every edge joins labels v+1 and v+2
         pair = frozenset({v + 1, (v + 1) % cfg.t + 1})
-        # corners[i] is the partner of out_slots[i]
-        if all(frozenset({cfg.label(m), cfg.label(g)}) == pair
-               for m, g in zip(circle.out_slots, circle.corners)):
-            out.append(ScharlemannCycle(circle.edges, circle.length, pair,
-                                        region.color))
+        out.append(ScharlemannCycle(circle.edges, circle.length, pair,
+                                    region.color))
     return tuple(out)
 
 
-def enumerate_configs(t, max_parallel, require_max=False, s_range=None):
+def enumerate_configs(t, max_parallel, require_max=False):
     """Admissible canonical configurations with bundles of bounded size.
 
     Returns one representative per equivalence class (multiplicities sorted
     descending, offset 0) with every bundle of size at most max_parallel,
-    at least one arc, and the parity rule satisfied.  With require_max,
-    only configurations where some bundle reaches max_parallel.  s_range
-    restricts the knot order s; by default all s compatible with the
-    multiplicity bound are scanned.
+    at least one arc, and the parity rule satisfied, ordered by s and then
+    by multiplicities.  With require_max, only configurations where some
+    bundle reaches max_parallel.  Every s compatible with the multiplicity
+    bound is scanned.
     """
     if t < 2 or t % 2:
         raise ValueError(f"t must be even and at least 2, got {t}")
     if max_parallel < 1:
         raise ValueError(f"max_parallel must be at least 1, got {max_parallel}")
-    if s_range is None:
-        s_range = range(1, 3 * max_parallel * 2 // t + 1)
     out = []
-    for s in s_range:
-        if s * t % 2 or s < 1:
-            continue
+    for s in range(1, 6 * max_parallel // t + 1):
         target = s * t // 2
-        for a in range(max_parallel, -1, -1):
-            for b in range(a, -1, -1):
+        for a in [max_parallel] if require_max else range(max_parallel + 1):
+            for b in range(a + 1):
+                # c follows from a and b, so this loop order is (s, counts)
                 c = target - a - b
-                if not 0 <= c <= b:
-                    continue
-                if require_max and a != max_parallel:
-                    continue
-                cfg = ArcSystemConfig(s, t, a, b, c, 0)
-                if parity_check_closed_form(cfg):
-                    out.append(cfg)
-    out.sort(key=lambda cfg: (cfg.s, cfg.counts))
+                if 0 <= c <= b:
+                    cfg = ArcSystemConfig(s, t, a, b, c, 0)
+                    if parity_check_closed_form(cfg):
+                        out.append(cfg)
     return out

@@ -70,10 +70,12 @@ def torus_knot_sequence(r, qdot, da, db):
     grid; returns None otherwise.
     """
     _check_grid(r, qdot, da, db)
+    # the da + db - 1 interior residues must be distinct and nonzero mod r,
+    # and the last one must be 0; check both before building the list
+    if da + db > r or (da + db * qdot) % r:
+        return None
     seq = list(range(da + 1))
     seq.extend((da + i * qdot) % r for i in range(1, db + 1))
-    if seq[-1] != 0:
-        return None
     interior = seq[1:-1]
     if 0 in interior or len(set(interior)) != len(interior):
         return None

@@ -3,9 +3,14 @@
 Used to extract homology groups from integer presentation matrices.  Only
 the diagonal is returned; callers that need transform matrices don't exist
 in this package, which keeps the elimination free to pick pivots greedily.
+The elimination only diagonalizes; since diag(a, b) is equivalent to
+diag(gcd(a, b), lcm(a, b)), a closing pass over pairs of pivots turns the
+diagonal into the divisibility chain without touching the matrix again.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def smith_normal_form(rows):
@@ -53,21 +58,12 @@ def smith_normal_form(rows):
                     dirty = True
         if dirty:
             continue  # remainders left; pick a smaller pivot and repeat
-        # pivot must divide the remaining block for a valid chain
-        offender = None
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if m[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, ncols):
-                m[top][j] += m[offender][j]
-            continue
-        # every later pivot lies in the block this pivot divides, so the
-        # diagonal is a divisibility chain as it stands
         diag.append(abs(pivot))
         top += 1
+    # diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)), so one pass
+    # over the pairs turns the pivots into the divisibility chain
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
     return diag

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lenspaces import INFINITY, Slope
+from .lenspaces import Slope
 from .snf import smith_normal_form
 
 # order of an infinite-order element or infinite group; with this encoding
@@ -80,8 +80,8 @@ class AbelianGroup:
     @classmethod
     def from_presentation(cls, rows, ngens) -> "AbelianGroup":
         """Cokernel of the relation rows inside Z^ngens."""
-        for r in rows:
-            assert len(r) == ngens
+        if any(len(r) != ngens for r in rows):
+            raise ValueError(f"every relation row needs {ngens} entries")
         diag = smith_normal_form(rows) if rows else []
         return cls(ngens - len(diag), tuple(d for d in diag if d > 1))
 

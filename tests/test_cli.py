@@ -205,6 +205,10 @@ LIBRARY_VALIDATIONS = {
                         "coincidence_scan(0)",
     "torus_knot_sequence": "from lensknots.gridknots import torus_knot_sequence; "
                            "torus_knot_sequence(0, 1, 1, 1)",
+    "from_presentation": "from lensknots.surgery import AbelianGroup; "
+                         "AbelianGroup.from_presentation([[2]], 2)",
+    "Region.length": "from lensknots.fatgraph import ArcSystemConfig, faces; "
+                     "faces(ArcSystemConfig(2, 2, 2, 0, 0)).annuli[0].length",
 }
 
 
@@ -265,6 +269,34 @@ def test_grid_failure_and_usage(capsys):
     out, _ = out_of(capsys)
     assert out.strip() == "FAILURE"
     assert run(["grid", "--r", "6", "--q", "3", "--da", "2", "--db", "3"]) == 2
+    # a first run longer than r wraps onto residue 0
+    assert run(["grid", "--r", "3", "--q", "1", "--da", "5", "--db", "1"]) == 1
+    out, _ = out_of(capsys)
+    assert out.strip() == "FAILURE"
+
+
+def test_grid_huge_da_under_memory_limit():
+    """A path longer than r fails by pigeonhole before any list is built.
+
+    Runs in a child limited to 400 MB of address space, so the parent test
+    process never builds a list of this size.
+    """
+    resource = pytest.importorskip("resource")
+    limit = 400 * 1024 * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lensknots", "grid", "--r", "5", "--q", "1",
+         "--da", "100000000", "--db", "1"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "FAILURE\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_enum_graphs(capsys):

@@ -170,8 +170,20 @@ def test_enumeration():
         assert parity_check(cfg)
         assert max(cfg.counts) <= 3
         assert cfg == cfg.canonical()
-    # restricting the s range is honored
-    assert all(c.s <= 5 for c in enumerate_configs(2, 3, s_range=range(1, 6)))
+    # the loops emit configurations already in (s, counts) order
+    for t in (2, 4, 6):
+        for require_max in (False, True):
+            configs = enumerate_configs(t, 8, require_max=require_max)
+            assert configs == sorted(configs, key=lambda c: (c.s, c.counts))
+
+
+def test_region_length_is_for_disks():
+    """An annulus has no polygon length; refused without assert."""
+    report = faces(ArcSystemConfig(2, 2, 2, 0, 0))
+    assert [r.kind for r in report.regions] == ["disk", "annulus"]
+    assert report.disks[0].length == 2
+    with pytest.raises(ValueError):
+        report.annuli[0].length
 
 
 @given(st.integers(1, 9), st.integers(0, 9), st.integers(0, 9),

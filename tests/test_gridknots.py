@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from lensknots.gridknots import (Grid1Knot, find_torus_grid_witness,
                                  grid1_order, torus_knot_sequence)
@@ -45,6 +45,8 @@ def test_sequence_rejections():
     assert torus_knot_sequence(5, 2, 2, 4) is None
     # wrong endpoint
     assert torus_knot_sequence(11, 4, 2, 3) is None
+    # the first run wraps past r: residue 3 is 0 mod 3
+    assert torus_knot_sequence(3, 1, 5, 1) is None
 
 
 def test_grid1_order():
@@ -101,6 +103,26 @@ def test_sequence_shape(r, qdot, da, db):
     interior = seq[1:-1]
     assert len(set(interior)) == len(interior)
     assert 0 not in interior
+
+
+def full_build_sequence(r, qdot, da, db):
+    """Reference: build every residue mod r, then test the path."""
+    seq = [i % r for i in range(da + 1)]
+    seq.extend((da + i * qdot) % r for i in range(1, db + 1))
+    interior = seq[1:-1]
+    if seq[-1] != 0 or 0 in interior or len(set(interior)) != len(interior):
+        return None
+    return seq
+
+
+@given(st.integers(2, 40), st.integers(-45, 45), st.integers(1, 45),
+       st.integers(1, 45))
+def test_sequence_matches_full_build(r, qdot, da, db):
+    """The pigeonhole and closing checks made before the build change
+    no answer."""
+    assume(math.gcd(qdot, r) == 1)
+    assert torus_knot_sequence(r, qdot, da, db) == full_build_sequence(
+        r, qdot, da, db)
 
 
 @pytest.mark.parametrize("args", [

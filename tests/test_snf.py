@@ -58,6 +58,9 @@ def test_fixed_cases():
     # classic: presentation of Z/2 + Z/6
     assert smith_normal_form([[2, 0], [0, 6]]) == [2, 6]
     assert smith_normal_form([[6, 4], [4, 6]]) == [2, 10]
+    # clean pivots that are not a chain: the gcd/lcm pass reorders them
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == [2, 2, 60]
+    assert smith_normal_form([[0, 12], [18, 0]]) == [6, 36]
 
 
 def test_divisibility_chain_and_sign():
@@ -93,3 +96,25 @@ def test_row_operation_invariant(rows, i, j, c):
     changed = [list(r) for r in rows]
     changed[i] = [a + c * b for a, b in zip(changed[i], changed[j])]
     assert smith_normal_form(changed) == smith_normal_form(rows)
+
+
+# Diagonal entries built from a few shared primes: elimination finds them
+# as clean pivots with no divisibility between them, so the chain comes
+# from the closing gcd/lcm pass alone.
+smooth = st.builds(lambda a, b, c, sign: sign * 2 ** a * 3 ** b * 5 ** c,
+                   st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+                   st.sampled_from([1, -1]))
+
+
+@settings(max_examples=200)
+@given(st.lists(smooth, min_size=1, max_size=4), st.integers(0, 2),
+       st.randoms(use_true_random=False))
+def test_shared_prime_diagonals(entries, zero_rows, rnd):
+    n = len(entries)
+    rows = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    rows += [[0] * n for _ in range(zero_rows)]
+    rnd.shuffle(rows)
+    cols = list(range(n))
+    rnd.shuffle(cols)
+    rows = [[r[j] for j in cols] for r in rows]
+    assert smith_normal_form(rows) == oracle_diagonal(rows)
