@@ -19,9 +19,10 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
-from .families import FamilyId, instantiate, verify
+from .families import FamilyId, _exception_detail, instantiate, verify
 from .fatgraph import enumerate_configs
 from .gridknots import find_torus_grid_witness
 from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant, trace
@@ -83,49 +84,94 @@ def _parse_families(text):
 
 
 def _parse_krange(text):
+    """The bounds (lo, hi) of an inclusive k-range; k = 0 is skipped later."""
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError("k-range must look like -20..20")
-    ks = [k for k in range(int(lo), int(hi) + 1) if k != 0]
-    if not ks:
+    lo, hi = int(lo), int(hi)
+    if lo > hi or lo == hi == 0:
         raise ValueError(f"empty k-range {text!r}")
-    return ks
+    return lo, hi
+
+
+# The most instances one task checks: a wide range then streams in spans
+# whose results stay small, while a narrow one is split among the workers.
+_SPAN_CAP = 256
 
 
 def _verify_one(fam, k):
-    """One (family, k) verification, rendered; top level so workers can run it."""
+    """One (family, k) verification, rendered."""
     try:
         inst = instantiate(fam, k)
         report = verify(inst)
     except Exception as exc:
-        return False, f"FAIL {fam} k={k}: exception: {exc!r}"
+        return False, f"FAIL {fam} k={k}: {_exception_detail(exc)}"
     if report.ok:
         return True, f"ok {report.label}: {inst.space}"
     bad = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
     return False, f"FAIL {report.label}: {bad}"
 
 
+def _verify_span(fam, a, b):
+    """The rendered verifications of one family for k in a..b, skipping 0;
+    top level so workers can run it."""
+    return [_verify_one(fam, k) for k in range(a, b + 1) if k != 0]
+
+
+def _usable_cpus():
+    """The CPUs this process may run on, by its affinity mask where the
+    platform has one: `taskset` leaves os.cpu_count() unchanged."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(pool, spans, window):
+    """Each span's results, in span order, with at most `window` spans
+    submitted to the pool and not yet returned.  Spans come back in task
+    order, so the report is byte-identical to the sequential one."""
+    pending = deque()
+    for span in spans:
+        pending.append(pool.submit(_verify_span, *span))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _print_batches(batches):
+    """Print each (ok, line) pair as its batch arrives; the failure count."""
+    failures = 0
+    for batch in batches:
+        for ok, line in batch:
+            print(line)
+            failures += not ok
+    return failures
+
+
 def _cmd_verify(args):
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     fams = _parse_families(args.families)
-    ks = _parse_krange(args.k_range)
-    tasks = [(f, k) for f in fams for k in ks]
+    lo, hi = _parse_krange(args.k_range)
+    n = len(fams) * (hi - lo + 1 - (lo <= 0 <= hi))
     # the pool forks every worker at its first task, so start no more
-    # workers than there are tasks or CPUs
-    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    # workers than there are instances or usable CPUs
+    workers = min(args.jobs, n, _usable_cpus())
+    # about two spans per worker: few messages, and the workers still
+    # finish close together
+    size = min(_SPAN_CAP, -(-n // (2 * workers)))
+    spans = ((f, a, min(a + size - 1, hi))
+             for f in fams for a in range(lo, hi + 1, size))
     if workers == 1:
-        results = [_verify_one(f, k) for f, k in tasks]
+        failures = _print_batches(_verify_span(*span) for span in spans)
     else:
-        # workers share nothing; map preserves task order, so the report
-        # is byte-identical to the sequential one
+        # a failing print (say to a closed pipe) unwinds through the with
+        # block, which shuts the pool down
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_one, *zip(*tasks)))
-    for _, line in results:
-        print(line)
-    failures = sum(1 for ok, _ in results if not ok)
+            failures = _print_batches(_in_order(pool, spans, 2 * workers))
     verdict = "all ok" if failures == 0 else f"{failures} failed"
-    print(f"checked {len(results)} instances: {verdict}")
+    print(f"checked {n} instances: {verdict}")
     return 0 if failures == 0 else 1
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -210,11 +211,21 @@ class VerificationReport:
         }
 
 
+def _exception_detail(exc):
+    """The exception, and the function, file and line that raised it."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno}"
+    return f"exception: {exc!r} in {code.co_name} ({where})"
+
+
 def _check(name, fn):
     try:
         passed, detail = fn()
     except Exception as exc:
-        return CheckResult(name, False, f"exception: {exc!r}")
+        return CheckResult(name, False, _exception_detail(exc))
     return CheckResult(name, bool(passed), detail)
 
 

@@ -3,10 +3,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
-from lensknots import cli
+from lensknots import cli, families
 from lensknots.cli import run
 from lensknots.families import FamilyInstance, instantiate
 from lensknots.surgery import link_to_json, unknot, whitehead
@@ -69,19 +71,26 @@ def test_verify_jobs_byte_identical(capsys):
     assert solo == pooled
 
 
-@pytest.mark.parametrize("jobs, cpus, workers", [
-    (64, 8, 5),   # capped by the 5 tasks
-    (3, 8, 3),    # as asked
-    (64, 2, 2),   # capped by the CPUs
-    (64, None, 1),  # unknown CPU count: no pool
-])
-def test_verify_pool_capped(monkeypatch, capsys, jobs, cpus, workers):
-    """The pool starts at most min(jobs, tasks, CPUs) workers."""
-    sizes = []
+class ReadFuture(Future):
+    """A future that records whether its result was read."""
+    read = False
+
+    def result(self, timeout=None):
+        self.read = True
+        return super().result(timeout)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by one that runs each task in this process
+    as it is submitted, on two usable CPUs.  Records each pool's size and
+    the most submitted tasks whose results were not yet read."""
+    record = SimpleNamespace(sizes=[], peak_in_flight=0)
+    futures = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -89,10 +98,30 @@ def test_verify_pool_capped(monkeypatch, capsys, jobs, cpus, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = ReadFuture()
+            future.set_result(fn(*args))
+            futures.append(future)
+            in_flight = sum(not f.read for f in futures)
+            record.peak_in_flight = max(record.peak_in_flight, in_flight)
+            return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    return record
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [
+    (64, 8, 5),   # capped by the 5 tasks
+    (3, 8, 3),    # as asked
+    (64, 2, 2),   # capped by the CPUs
+    (64, None, 1),  # unknown CPU count: no pool
+])
+def test_verify_pool_capped(monkeypatch, capsys, fake_pool, jobs, cpus, workers):
+    """The pool starts at most min(jobs, tasks, usable CPUs) workers; here
+    on a platform without affinity masks, where os.cpu_count() decides."""
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     argv = ["verify", "--families", "I", "--k-range", "-3..2"]  # 5 tasks
     assert run(argv) == 0
@@ -100,7 +129,86 @@ def test_verify_pool_capped(monkeypatch, capsys, jobs, cpus, workers):
     assert run(argv + ["--jobs", str(jobs)]) == 0
     pooled, _ = out_of(capsys)
     assert pooled == solo
-    assert sizes == ([workers] if workers > 1 else [])
+    assert fake_pool.sizes == ([workers] if workers > 1 else [])
+
+
+def test_usable_cpus_follows_affinity(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert cli._usable_cpus() == 1  # as under `taskset -c 0`
+
+
+@pytest.mark.parametrize("fams, krange, count", [
+    ("I", "-3..4", 7),            # straddles 0
+    ("II", "0..5", 5),            # starts at 0
+    ("III", "-6..0", 6),          # ends at 0
+    ("IV", "7..7", 1),            # width 1
+    ("V", "-1..-1", 1),           # width 1, negative
+    ("I,III,V", "-9..9", 54),     # several families
+    ("all", "0..1", 5),           # one k in each family
+    ("all", "-150..150", 1500),   # spans at the size cap, more than in flight
+])
+def test_verify_pooled_matches_sequential(capsys, fake_pool, fams, krange, count):
+    argv = ["verify", "--families", fams, "--k-range", krange]
+    assert run(argv) == 0
+    solo, _ = out_of(capsys)
+    assert run(argv + ["--jobs", "2"]) == 0
+    pooled, _ = out_of(capsys)
+    assert pooled == solo
+    assert solo.endswith(f"checked {count} instances: all ok\n")
+    assert solo.count("\n") == count + 1
+    assert fake_pool.sizes == ([2] if count > 1 else [])
+    assert fake_pool.peak_in_flight <= 4  # two spans per worker
+
+
+def _line_of(fn, offset=1):
+    """`file:line` of the line `offset` lines below the def of fn."""
+    return f"test_cli.py:{fn.__code__.co_firstlineno + offset}"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_one_failure(monkeypatch, capsys, fake_pool, jobs):
+    real = cli.verify
+
+    def verify_or_divide(inst):
+        if inst.k == 2:
+            return 1 // 0
+        return real(inst)
+
+    monkeypatch.setattr(cli, "verify", verify_or_divide)
+    assert run(["verify", "--families", "I,II", "--k-range", "1..3",
+                "--jobs", jobs]) == 1
+    out, _ = out_of(capsys)
+    fails = [line for line in out.splitlines() if not line.startswith("ok ")]
+    assert fails == [
+        "FAIL I k=2: exception: ZeroDivisionError('integer division or modulo"
+        f" by zero') in verify_or_divide ({_line_of(verify_or_divide, 2)})",
+        "FAIL II k=2: exception: ZeroDivisionError('integer division or modulo"
+        f" by zero') in verify_or_divide ({_line_of(verify_or_divide, 2)})",
+        "checked 6 instances: 2 failed",
+    ]
+    assert fake_pool.sizes == ([2] if jobs == "2" else [])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_check_exception_detail(monkeypatch, capsys, fake_pool, jobs):
+    """A check that raises fails alone, naming where the exception came from."""
+    real = families._check_grid
+
+    def broken_grid(inst):
+        if inst.k == -1:
+            raise KeyError("grid")
+        return real(inst)
+
+    monkeypatch.setattr(families, "_check_grid", broken_grid)
+    assert run(["verify", "--families", "III", "--k-range", "-2..1",
+                "--jobs", jobs]) == 1
+    out, _ = out_of(capsys)
+    assert out.splitlines()[1] == (
+        "FAIL III k=-1: grid: exception: KeyError('grid') in broken_grid"
+        f" ({_line_of(broken_grid, 2)})")
+    assert out.endswith("checked 3 instances: 1 failed\n")
 
 
 def test_verify_usage_errors(capsys):
@@ -110,6 +218,46 @@ def test_verify_usage_errors(capsys):
     assert run(["verify", "--k-range", "1..2", "--jobs", "0"]) == 2
     out, err = out_of(capsys)
     assert out == "" and err.count("error:") == 4
+
+
+def test_verify_reversed_range(capsys):
+    assert run(["verify", "--k-range", "5..1"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: empty k-range '5..1'\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_wide_range_streams_under_memory_limit(jobs):
+    """Six million k per family stream in bounded memory: the child, limited
+    to 400 MB of address space, prints its first lines and stops cleanly
+    when the pipe is closed."""
+    resource = pytest.importorskip("resource")
+    limit = 400 * 1024 * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lensknots", "verify", "--k-range",
+         "-3000000..3000000", "--jobs", jobs],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=cap)
+    try:
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert [line.split(":")[0] for line in head] == [
+        "ok I k=-3000000", "ok I k=-2999999", "ok I k=-2999998"]
+    assert proc.returncode is not None
+    assert "Traceback" not in err and "MemoryError" not in err, err
 
 
 def test_homology_closed(tmp_path, capsys):

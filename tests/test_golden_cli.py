@@ -33,7 +33,9 @@ WORDS = ("", "x y", "x^2 y", "x^3 y", "x y x y x y", "x^3 y^-1",
 
 
 def commands():
-    cmds = [["verify", "--families", "all", "--k-range", "-50..50"]]
+    cmds = [["verify", "--families", "all", "--k-range", "-50..50"],
+            ["verify", "--families", "all", "--k-range", "-30..30", "--jobs", "2"],
+            ["verify", "--families", "II,IV", "--k-range", "-7..0", "--jobs", "2"]]
     cmds += [["family", "--id", fam, "--k", str(k)]
              for fam in ("I", "II", "III", "IV", "V") for k in (1, -1, 7)]
     cmds += [
