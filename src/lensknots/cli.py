@@ -8,7 +8,8 @@ Subcommands:
   grid         search for a torus knot witness on the r/q grid
   enum-graphs  enumerate essential arc configurations
 
-Exit codes: 0 success, 1 verification or search failure, 2 usage errors.
+Exit codes: 0 success, 1 verification or search failure, 2 usage errors,
+141 (128 + SIGPIPE, as a shell reports) when the reader closes stdout early.
 Results go to stdout, diagnostics to stderr.  Every command is pure: the
 only effects are the output stream and the exit code.
 """
@@ -77,9 +78,11 @@ def _parse_families(text):
     if text == "all":
         return knotted
     fams = [f.strip() for f in text.split(",")]
-    for f in fams:
+    for i, f in enumerate(fams):
         if f not in knotted:
             raise ValueError(f"unknown family {f!r} (ranges cover I..V)")
+        if f in fams[:i]:
+            raise ValueError(f"family {f!r} is named twice")
     return fams
 
 
@@ -284,6 +287,10 @@ def _glue_range_values(argv):
     return out
 
 
+# what a shell reports for a writer killed by SIGPIPE: 128 + 13
+_BROKEN_PIPE = 141
+
+
 def run(argv) -> int:
     try:
         args = _build_parser().parse_args(_glue_range_values(argv))
@@ -291,10 +298,21 @@ def run(argv) -> int:
         return exc.code or 0
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader stopped early: not a usage error
+        return _BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _BROKEN_PIPE
+    if code == _BROKEN_PIPE:
+        # the interpreter flushes stdout once more on exit; with the pipe
+        # gone that would print "Exception ignored ... BrokenPipeError"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

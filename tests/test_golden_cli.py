@@ -26,6 +26,9 @@ LINKS = {
     "unfilled.json": whitehead("-3", None),
     "chain3.json": chain3("2", "3", "3"),
     "whitehead-0-1.json": whitehead("0", "1"),
+    "whitehead-inf.json": whitehead("inf", "-5/2"),
+    "whitehead-big.json": whitehead("100000000000000000006/7",
+                                    "-99999999999999999994/11"),
 }
 
 WORDS = ("", "x y", "x^2 y", "x^3 y", "x y x y x y", "x^3 y^-1",
@@ -35,7 +38,9 @@ WORDS = ("", "x y", "x^2 y", "x^3 y", "x y x y x y", "x^3 y^-1",
 def commands():
     cmds = [["verify", "--families", "all", "--k-range", "-50..50"],
             ["verify", "--families", "all", "--k-range", "-30..30", "--jobs", "2"],
-            ["verify", "--families", "II,IV", "--k-range", "-7..0", "--jobs", "2"]]
+            ["verify", "--families", "II,IV", "--k-range", "-7..0", "--jobs", "2"],
+            ["verify", "--families", "all",
+             "--k-range", "999999999999990..1000000000000010"]]
     cmds += [["family", "--id", fam, "--k", str(k)]
              for fam in ("I", "II", "III", "IV", "V") for k in (1, -1, 7)]
     cmds += [

@@ -118,3 +118,40 @@ def test_shared_prime_diagonals(entries, zero_rows, rnd):
     rnd.shuffle(cols)
     rows = [[r[j] for j in cols] for r in rows]
     assert smith_normal_form(rows) == oracle_diagonal(rows)
+
+
+# Thin matrices (1-8 rows, 1-2 columns) take the closed form.  Full rank
+# draws entries up to 1e30; rank 1 is multiples of one row and rank 0 is all
+# zeros.  Zero rows are shuffled in and one of two columns may be zeroed.
+big = st.integers(-10 ** 30, 10 ** 30)
+half = st.integers(-10 ** 15, 10 ** 15)
+
+
+@st.composite
+def thin_matrices(draw):
+    ncols = draw(st.integers(1, 2))
+    rank = draw(st.integers(0, ncols))
+    nrows = draw(st.integers(1, 8))
+    if rank == ncols:
+        rows = draw(st.lists(st.lists(big, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+    else:
+        base = draw(st.lists(half, min_size=ncols, max_size=ncols))
+        rows = [[rank * c * b for b in base]
+                for c in draw(st.lists(half, min_size=nrows, max_size=nrows))]
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 8 - nrows)))]
+    draw(st.randoms(use_true_random=False)).shuffle(rows)
+    if ncols == 2 and draw(st.booleans()):
+        zero = draw(st.integers(0, 1))
+        for r in rows:
+            r[zero] = 0
+    return rank, rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(thin_matrices())
+def test_thin_matrices_match_determinantal_divisors(case):
+    rank, rows = case
+    diag = smith_normal_form(rows)
+    assert diag == oracle_diagonal(rows)
+    assert len(diag) <= rank
