@@ -23,7 +23,7 @@ import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
-from .families import FamilyId, _exception_detail, instantiate, verify
+from .families import FamilyId, _exception_detail, family_space, instantiate, verify
 from .fatgraph import enumerate_configs
 from .gridknots import find_torus_grid_witness
 from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant, trace
@@ -157,6 +157,14 @@ def _cmd_verify(args):
         raise ValueError("--jobs must be at least 1")
     fams = _parse_families(args.families)
     lo, hi = _parse_krange(args.k_range)
+    # |p| is linear in k, so a space past the int-to-str digit limit lies at
+    # an end of the range: render both ends before printing any line
+    for f, k in ((f, k) for f in fams for k in (lo, hi)):
+        try:
+            space = family_space(f, k)
+        except ValueError:  # no lens space there: its checks report that
+            continue
+        str(space)
     n = len(fams) * (hi - lo + 1 - (lo <= 0 <= hi))
     # the pool forks every worker at its first task, so start no more
     # workers than there are instances or usable CPUs

@@ -29,7 +29,6 @@ import enum
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import gcd, lcm
@@ -297,8 +296,14 @@ def _check_torus_type(inst):
     if inst.torus_type is None:
         return True, "not a torus knot; nothing to check"
     da, db = inst.torus_type
-    total = Fraction(1, da) + Fraction(1, db) + Fraction(1, lcm(da, db))
-    return total == 1, f"1/{da} + 1/{db} + 1/lcm = {total}"
+    ok = _is_torus_type(da, db)
+    return ok, f"1/{da} + 1/{db} + 1/lcm {'=' if ok else '!='} 1"
+
+
+def _is_torus_type(da, db):
+    """1/da + 1/db + 1/m = 1 with m = lcm(da, db), multiplied through by m."""
+    m = lcm(da, db)
+    return m // da + m // db + 1 == m
 
 
 # --- the shipped filling table -----------------------------------------------
@@ -350,12 +355,8 @@ def torus_knot_types():
     These are the torus knot types realizable on a once-punctured-torus
     fiber; the search bound is safe because the left side is at most 3/da.
     """
-    out = set()
-    for da in range(2, 13):
-        for db in range(da, 13):
-            if Fraction(1, da) + Fraction(1, db) + Fraction(1, lcm(da, db)) == 1:
-                out.add((da, db))
-    return out
+    return {(da, db) for da in range(2, 13) for db in range(da, 13)
+            if _is_torus_type(da, db)}
 
 
 def family_space(family, k) -> LensSpace:

@@ -14,7 +14,6 @@ plus the infinite slope 1/0.  Continued fractions here are subtractive:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -106,8 +105,12 @@ class Slope:
 
     @classmethod
     def from_rational(cls, r) -> "Slope":
-        r = Fraction(r)
-        return cls.make(r.numerator, r.denominator)
+        """The slope of an int, or of an exact rational (a Fraction) whose
+        numerator and denominator are ints; anything else raises ValueError."""
+        p, q = getattr(r, "numerator", None), getattr(r, "denominator", None)
+        if not (isinstance(p, int) and isinstance(q, int)):
+            raise ValueError(f"slope {r!r} is not an int or an exact rational")
+        return cls.make(p, q)
 
     @property
     def is_infinite(self):
@@ -142,18 +145,16 @@ def slope_distance(a: Slope, b: Slope) -> int:
 def from_continued_fraction(coeffs) -> Slope:
     """Evaluate the subtractive continued fraction a1 - 1/(a2 - 1/(...)).
 
-    Coefficients may be ints or Fractions.  A zero intermediate value makes
-    the next stage infinite; the infinite slope propagates exactly (a - 1/inf
-    is a, and a - 1/0 is inf), so no division error can occur.
+    Coefficients are ints or Fractions (else ValueError), as for
+    `Slope.from_rational`.  A zero intermediate value makes the next stage
+    infinite; the infinite slope propagates exactly (a - 1/inf is a, and
+    a - 1/0 is inf), so no division error can occur.
     """
-    coeffs = list(coeffs)
+    coeffs = [Slope.from_rational(a) for a in coeffs]
     if not coeffs:
         raise ValueError("empty continued fraction")
-    last = Fraction(coeffs[-1])
-    value = Slope.make(last.numerator, last.denominator)
+    value = coeffs[-1]
     for a in reversed(coeffs[:-1]):
-        a = Fraction(a)
-        # a - 1/(vp/vq) = (a.num*vp - a.den*vq) / (a.den*vp)
-        value = Slope.make(a.numerator * value.p - a.denominator * value.q,
-                           a.denominator * value.p)
+        # a - 1/(vp/vq) = (a.p*vp - a.q*vq) / (a.q*vp)
+        value = Slope.make(a.p * value.p - a.q * value.q, a.q * value.p)
     return value

@@ -96,9 +96,10 @@ def evaluate(w):
         w = MappingWord.parse(w)
     if isinstance(w, MappingWord):
         return w.matrix()
-    if w[0][0] * w[1][1] - w[0][1] * w[1][0] != 1:
-        raise ValueError("matrix must have determinant one")
-    return w
+    (a, b), (c, d) = w  # a wrong shape fails to unpack with ValueError
+    if not all(isinstance(v, int) for v in (a, b, c, d)) or a * d - b * c != 1:
+        raise ValueError(f"matrix {w!r} must have integer entries and determinant one")
+    return (a, b), (c, d)
 
 
 class NTClass(enum.Enum):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lenspaces import Slope
 from .snf import smith_normal_form
@@ -35,7 +34,7 @@ def _coerce_slope(x):
         return Slope.parse(x)
     if isinstance(x, tuple):
         return Slope.make(*x)
-    return Slope.from_rational(Fraction(x))
+    return Slope.from_rational(x)
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ class FramedLink:
 
     @classmethod
     def make(cls, linking, coefficients, name=None) -> "FramedLink":
-        linking = tuple(tuple(int(v) for v in row) for row in linking)
+        linking = tuple(tuple(row) for row in linking)
         coefficients = tuple(_coerce_slope(c) for c in coefficients)
         return cls(linking, coefficients, name)
 
@@ -185,22 +184,21 @@ def core_order(link: FramedLink, i: int):
     With filling coefficient p/q the core is c*e_i + d*sum_j lk(i,j)*e_j for
     any (c, d) with p*d - q*c = 1.  That row and the relation row of
     component i span the meridian e_i and the longitude sum_j lk(i,j)*e_j,
-    so killing the core leaves the cokernel of the other relation rows, e_i
-    and the longitude.  The order is the quotient of the torsion orders,
-    or INFINITE (0) when the rank drops.
+    so killing the core leaves the other relation rows and the longitude,
+    with column i dropped to quotient out e_i.  The order is the quotient
+    of the torsion orders, or INFINITE (0) when the rank drops.
     """
-    coeff = link.coefficients[i]
-    if coeff is None:
+    n = link.num_components
+    if not 0 <= i < n:
+        raise ValueError(f"no component {i} in a {n}-component link")
+    if link.coefficients[i] is None:
         raise ValueError(f"component {i} is not filled")
     if any(c is None for c in link.coefficients):
         raise ValueError("core_order needs a closed manifold: fill every component")
-    n = link.num_components
     rows = h1_presentation(link)
-    meridian = [0] * n
-    meridian[i] = 1
     g = AbelianGroup.from_presentation(rows, n)
-    g2 = AbelianGroup.from_presentation(
-        rows[:i] + rows[i + 1:] + [meridian, link.linking[i]], n)
+    others = rows[:i] + rows[i + 1:] + [link.linking[i]]
+    g2 = AbelianGroup.from_presentation([r[:i] + r[i + 1:] for r in others], n - 1)
     if g2.rank < g.rank:
         return INFINITE
     order, rest = divmod(math.prod(g.torsion), math.prod(g2.torsion))
@@ -216,11 +214,13 @@ def blow_down(link: FramedLink, c: int) -> FramedLink:
     eps*lk(c,i)*lk(c,j) off-diagonal.  Infinite and absent coefficients are
     untouched in value (infinity stays infinity, unfilled stays unfilled).
     """
+    n = link.num_components
+    if not 0 <= c < n:
+        raise ValueError(f"no component {c} in a {n}-component link")
     coeff = link.coefficients[c]
     if coeff is None or coeff.q != 1 or abs(coeff.p) != 1:
         raise ValueError(f"component {c} is not (+1)- or (-1)-framed")
     eps = coeff.p
-    n = link.num_components
     keep = [i for i in range(n) if i != c]
     linking = tuple(
         tuple(link.lk(i, j) - eps * link.lk(c, i) * link.lk(c, j) if i != j else 0
@@ -238,23 +238,11 @@ def blow_down(link: FramedLink, c: int) -> FramedLink:
 
 # --- JSON link files ---------------------------------------------------------
 
-def _coeff_to_str(c):
-    if c is None:
-        return "-"
-    return str(c)
-
-
-def _coeff_from_str(s):
-    if s == "-":
-        return None
-    return Slope.parse(s)
-
-
 def link_to_obj(link: FramedLink) -> dict:
     obj = {
         "schema_version": 1,
         "linking": [list(row) for row in link.linking],
-        "coefficients": [_coeff_to_str(c) for c in link.coefficients],
+        "coefficients": ["-" if c is None else str(c) for c in link.coefficients],
     }
     if link.name is not None:
         obj["name"] = link.name
@@ -277,7 +265,7 @@ def link_from_obj(obj) -> FramedLink:
     if not (isinstance(coefficients, list)
             and all(isinstance(c, str) for c in coefficients)):
         raise ValueError('coefficients must be a list of strings like "-5/2"')
-    return FramedLink.make(linking, [_coeff_from_str(c) for c in coefficients],
+    return FramedLink.make(linking, [None if c == "-" else c for c in coefficients],
                            obj.get("name"))
 
 

@@ -406,6 +406,24 @@ def test_mcg_entries_past_str_limit(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_spaces_past_str_limit(capsys, jobs):
+    """Lens spaces too long for str() give one error line and no output,
+    not FAIL lines blaming the checks whose details could not be rendered."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    hi = "9" * 4300  # parses, but L(6k-1, 2k-1) has 4301 digits
+    lo = "9" * 4299 + "8"
+    try:
+        assert run(["verify", "--families", "I", "--k-range", f"{lo}..{hi}",
+                    "--jobs", jobs]) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_grid_success(capsys):
     assert run(["grid", "--r", "5", "--q", "1", "--da", "2", "--db", "3"]) == 0
     out, _ = out_of(capsys)

@@ -79,6 +79,10 @@ def test_slope_canonical_forms():
     assert Slope.make(5, 0) == INFINITY
     assert Slope.make(-7, -1) == Slope(7, 1)
     assert Slope.from_rational(Fraction(10, 15)) == Slope(2, 3)
+    assert Slope.from_rational(-4) == Slope(-4, 1)
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(ValueError):
+            Slope.from_rational(bad)
     with pytest.raises(ValueError):
         Slope.make(0, 0)
     with pytest.raises(ValueError):
@@ -122,6 +126,9 @@ def test_continued_fraction_examples():
 
 def test_continued_fraction_fraction_coefficients():
     assert from_continued_fraction([Fraction(1, 2), 2]) == Slope(0, 1)
+    for bad in ([0.5, 2], [2, "2"]):
+        with pytest.raises(ValueError):
+            from_continued_fraction(bad)
 
 
 @given(st.lists(st.integers(2, 9), min_size=1, max_size=8))

@@ -78,6 +78,25 @@ def test_determinant_guard():
         evaluate(((1, 0), (0, -1)))
     with pytest.raises(ValueError):
         classify(((2, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        evaluate(((1, 0, 0), (0, 1, 0)))
+
+
+def test_non_integer_matrix_refused():
+    """Float entries raise at once: the conjugacy reduction never ends on
+    them, and classify would report a float trace."""
+    m = ((2.0, 1), (1, 1))
+    with pytest.raises(ValueError):
+        classify(m)
+    with pytest.raises(ValueError):
+        bundle_h1(m)
+    with pytest.raises(ValueError):
+        conjugacy_invariant(((1.5, 0.5), (1, 1)))
+
+
+def test_matrix_rows_may_be_lists():
+    assert evaluate([[2, 1], [1, 1]]) == ((2, 1), (1, 1))
+    assert classify([[1, 0], [0, 1]]).kind is NTClass.PERIODIC
 
 
 def test_bundle_h1_examples():

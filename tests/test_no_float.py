@@ -1,9 +1,9 @@
-"""The library computes with integers and Fractions only.
+"""The library computes with integers only.
 
 Walks the syntax tree of every module in src/lensknots and rejects float
 and complex literals, the names and attributes `inf` and `nan` (as in
-`math.inf`), the name `float` (so `float("inf")` as well), and true
-division `/`.
+`math.inf`), the name `float` (so `float("inf")` as well), true division
+`/`, and any import of the `fractions` module.
 """
 
 import ast
@@ -23,10 +23,18 @@ def float_uses(tree):
             yield node, f"attribute .{node.attr}"
         elif isinstance(node, ast.Name) and node.id in ("float", "inf", "nan"):
             yield node, f"name {node.id}"
-        elif isinstance(node, ast.alias) and node.name in ("inf", "nan"):
+        elif isinstance(node, ast.alias) and node.name in ("inf", "nan", "fractions"):
             yield node, f"import of {node.name}"
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             yield node, "true division"
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            yield node, "import from fractions"
+
+
+@pytest.mark.parametrize("code", ["from fractions import Fraction",
+                                  "import fractions", "import fractions as fr"])
+def test_fractions_imports_caught(code):
+    assert list(float_uses(ast.parse(code)))
 
 
 def test_modules_found():

@@ -38,6 +38,19 @@ def test_framed_link_validation():
     assert link.fill(1, "1/2").unfill(1) == link
 
 
+def test_floats_are_refused():
+    """A float is neither a slope nor a linking number: no silent rounding."""
+    with pytest.raises(ValueError):
+        whitehead(0.1, "-3")
+    with pytest.raises(ValueError):
+        whitehead("-3").fill(1, 2.5)
+    with pytest.raises(ValueError):
+        FramedLink.make([[0, 2.7], [2.7, 0]], [None, None])
+    with pytest.raises(ValueError):
+        FramedLink.make([[0, 2.0], [2.0, 0]], ["1", "1"])
+    assert whitehead(Fraction(-5, 2), -3) == whitehead("-5/2", "-3")
+
+
 def test_abelian_group_basics():
     g = AbelianGroup(0, (2, 6))
     assert g.order() == 12 and not g.is_cyclic and str(g) == "Z/2 + Z/6"
@@ -222,6 +235,16 @@ def test_blow_down_requires_unit_framing():
         blow_down(chain3("-2", "-3", "2"), 2)
     with pytest.raises(ValueError):
         blow_down(chain3("-2", "-3", UNFILLED), 2)
+
+
+def test_component_index_in_range():
+    """A negative index would wrap around to the last component."""
+    link = chain3("-2", "-3", "1")
+    for c in (-1, 3):
+        with pytest.raises(ValueError):
+            blow_down(link, c)
+        with pytest.raises(ValueError):
+            core_order(link, c)
 
 
 rational_slopes = st.tuples(st.integers(-20, 20), st.integers(1, 7)).map(
