@@ -101,6 +101,11 @@ def _parse_krange(text):
 # whose results stay small, while a narrow one is split among the workers.
 _SPAN_CAP = 256
 
+# The fewest instances a forked worker must get to pay for its fork.  On two
+# vCPUs `--jobs 2` first beat one process at 450-500 instances, 225-250 per
+# worker (see README), so a worker gets at least one full span.
+_WORKER_MIN = _SPAN_CAP
+
 
 def _verify_one(fam, k):
     """One (family, k) verification, rendered."""
@@ -167,8 +172,8 @@ def _cmd_verify(args):
         str(space)
     n = len(fams) * (hi - lo + 1 - (lo <= 0 <= hi))
     # the pool forks every worker at its first task, so start no more
-    # workers than there are instances or usable CPUs
-    workers = min(args.jobs, n, _usable_cpus())
+    # workers than the usable CPUs, nor than the instances pay forks for
+    workers = min(args.jobs, _usable_cpus(), max(1, n // _WORKER_MIN))
     # about two spans per worker: few messages, and the workers still
     # finish close together
     size = min(_SPAN_CAP, -(-n // (2 * workers)))

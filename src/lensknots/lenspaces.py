@@ -106,9 +106,10 @@ class Slope:
     @classmethod
     def from_rational(cls, r) -> "Slope":
         """The slope of an int, or of an exact rational (a Fraction) whose
-        numerator and denominator are ints; anything else raises ValueError."""
+        numerator and denominator are ints; anything else, a bool too,
+        raises ValueError."""
         p, q = getattr(r, "numerator", None), getattr(r, "denominator", None)
-        if not (isinstance(p, int) and isinstance(q, int)):
+        if isinstance(r, bool) or not (isinstance(p, int) and isinstance(q, int)):
             raise ValueError(f"slope {r!r} is not an int or an exact rational")
         return cls.make(p, q)
 
@@ -128,10 +129,10 @@ class Slope:
         s = text.strip()
         if s in ("inf", "infinity"):
             return INFINITY
-        if "/" in s:
-            num, den = s.split("/")
-            return cls.make(int(num), int(den))
-        return cls.make(int(s), 1)
+        num, sep, den = s.partition("/")
+        if "/" in den:
+            raise ValueError(f"not a slope: {text!r}")
+        return cls.make(int(num), int(den) if sep else 1)
 
 
 INFINITY = Slope(1, 0)

@@ -105,7 +105,7 @@ class FramedLink:
             if len(row) != n or row[i] != 0:
                 raise ValueError("linking matrix must be square with zero diagonal")
             for j in range(n):
-                if not isinstance(row[j], int) or row[j] != self.linking[j][i]:
+                if type(row[j]) is not int or row[j] != self.linking[j][i]:
                     raise ValueError("linking matrix must be symmetric and integral")
         for c in self.coefficients:
             if c is not None and not isinstance(c, Slope):

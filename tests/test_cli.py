@@ -81,7 +81,7 @@ class ReadFuture(Future):
 
 
 @pytest.fixture
-def fake_pool(monkeypatch):
+def in_process_pool(monkeypatch):
     """Replace the process pool by one that runs each task in this process
     as it is submitted, on two usable CPUs.  Records each pool's size and
     the most submitted tasks whose results were not yet read."""
@@ -110,6 +110,55 @@ def fake_pool(monkeypatch):
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     return record
+
+
+@pytest.fixture
+def fake_pool(monkeypatch, in_process_pool):
+    """The in-process pool, with a worker worth forking for one instance,
+    so that ranges of a few instances still exercise the pool."""
+    monkeypatch.setattr(cli, "_WORKER_MIN", 1)
+    return in_process_pool
+
+
+@pytest.mark.parametrize("fams, krange, pools", [
+    ("all", "1..50", []),  # the widest window of the verify_jobs benchmark
+    ("I", f"1..{2 * cli._WORKER_MIN - 1}", []),
+    ("I", f"1..{2 * cli._WORKER_MIN}", [2]),
+])
+def test_verify_pool_only_where_it_pays(capsys, in_process_pool, fams, krange,
+                                        pools):
+    """Below two workers' worth of instances `--jobs 2` runs in-process."""
+    argv = ["verify", "--families", fams, "--k-range", krange]
+    assert run(argv) == 0
+    solo, _ = out_of(capsys)
+    assert run(argv + ["--jobs", "2"]) == 0
+    pooled, _ = out_of(capsys)
+    assert pooled == solo
+    assert in_process_pool.sizes == pools
+
+
+def test_verify_real_pool_matches_sequential(monkeypatch, capsys):
+    """Just over two workers' worth of instances forks a real pool of two,
+    whose report is byte-identical to the sequential one."""
+    sizes = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    width = 2 * cli._WORKER_MIN // 5 + 1  # five families
+    argv = ["verify", "--families", "all", "--k-range", f"-3..{width - 3}"]
+    assert run(argv) == 0
+    solo, _ = out_of(capsys)
+    assert run(argv + ["--jobs", "2"]) == 0
+    pooled, _ = out_of(capsys)
+    assert pooled == solo
+    assert solo.endswith(f"checked {5 * width} instances: all ok\n")
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("jobs, cpus, workers", [
@@ -285,6 +334,15 @@ def test_homology_unfilled_and_infinite(tmp_path, capsys):
     assert "core order of component 0: infinite" in out
 
 
+def test_homology_malformed_slope(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema_version": 1, "linking": [[0]], "coefficients": ["1/2/3"]}')
+    assert run(["homology", "--link", str(path)]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: not a slope: '1/2/3'\n"
+
+
 def test_homology_file_errors(tmp_path, capsys):
     assert run(["homology", "--link", str(tmp_path / "absent.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -358,6 +416,9 @@ LIBRARY_VALIDATIONS = {
                          "AbelianGroup.from_presentation([[2]], 2)",
     "Region.length": "from lensknots.fatgraph import ArcSystemConfig, faces; "
                      "faces(ArcSystemConfig(2, 2, 2, 0, 0)).annuli[0].length",
+    "bool-linking": "from lensknots.surgery import FramedLink; "
+                    "FramedLink.make([[0, True], [True, 0]], ['1', '2'])",
+    "bool-slope": "from lensknots.surgery import whitehead; whitehead(True, '-3')",
 }
 
 

@@ -80,7 +80,7 @@ def test_slope_canonical_forms():
     assert Slope.make(-7, -1) == Slope(7, 1)
     assert Slope.from_rational(Fraction(10, 15)) == Slope(2, 3)
     assert Slope.from_rational(-4) == Slope(-4, 1)
-    for bad in (0.5, "1/2", None):
+    for bad in (0.5, "1/2", None, True, False):
         with pytest.raises(ValueError):
             Slope.from_rational(bad)
     with pytest.raises(ValueError):
@@ -96,6 +96,8 @@ def test_slope_str_parse_round_trip():
         assert Slope.parse(str(s)) == s
     assert str(INFINITY) == "inf"
     assert str(Slope(-3, 1)) == "-3"
+    with pytest.raises(ValueError, match=r"^not a slope: '1/2/3'$"):
+        Slope.parse("1/2/3")
 
 
 def test_slope_distance():

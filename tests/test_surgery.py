@@ -267,6 +267,21 @@ def test_json_round_trip():
         assert link_from_json(link_to_json(link)) == link
 
 
+entries = st.one_of(st.integers(-3, 3), st.booleans())
+
+
+@given(entries, st.lists(st.one_of(st.none(), entries, rational_slopes),
+                         min_size=2, max_size=2))
+def test_every_made_link_round_trips(lk, coefficients):
+    """Whatever FramedLink.make accepts, JSON writes and reads back; a bool,
+    which JSON would write as true, is no linking number and no slope."""
+    try:
+        link = FramedLink.make([[0, lk], [lk, 0]], coefficients)
+    except ValueError:
+        return
+    assert link_from_json(link_to_json(link)) == link
+
+
 def test_json_rejects_unknown_schema():
     with pytest.raises(ValueError):
         link_from_json('{"schema_version": 99, "linking": [[0]], "coefficients": ["-"]}')
