@@ -86,6 +86,13 @@ _FORMS = {
 }
 
 
+# instantiate's per-family constants, built once: the slope alpha and the
+# monodromy words x^n y at k = -1 and at k = +1
+_ALPHA = {f: Slope.make(form.alpha, 1) for f, form in _FORMS.items()}
+_WORDS = {f: tuple(MappingWord((("x", n), ("y", 1))) for n in form.twists)
+          for f, form in _FORMS.items()}
+
+
 def _linear(ab, k):
     return ab[0] * k + ab[1]
 
@@ -154,6 +161,8 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
         if rq is None or k is not None:
             raise ValueError("family VI takes rq=(r,q), not k")
         r, q = rq
+        if type(r) is not int or type(q) is not int:
+            raise ValueError(f"family VI needs integers (r,q), got {rq}")
         if gcd(r, q) != 1 or abs(r) == 1:
             raise ValueError(f"family VI needs coprime (r,q) with |r| != 1, got {rq}")
         return FamilyInstance(
@@ -164,20 +173,18 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
             order_s=abs(r),
             fibered=False, monodromy=None,
             grid_index=1, torus_type=None)
-    if rq is not None or not isinstance(k, int) or k == 0:
+    if rq is not None or type(k) is not int or k == 0:
         raise ValueError(f"family {family.value} takes a nonzero integer k")
     form = _FORMS[family]
     fibered = not form.sporadic or abs(k) == 1
     return FamilyInstance(
         family=family, k=k, rq=None,
         space=family_space(family, k),
-        surgery=whitehead(Slope.make(form.alpha, 1),
-                          Slope.make(form.beta * k + 1, k)),
+        surgery=whitehead(_ALPHA[family], Slope.make(form.beta * k + 1, k)),
         core_index=form.core,
         order_s=abs(_linear(form.s, k)),
         fibered=fibered,
-        monodromy=(MappingWord((("x", form.twists[k > 0]), ("y", 1)))
-                   if fibered else None),
+        monodromy=_WORDS[family][k > 0] if fibered else None,
         grid_index=abs(_linear(form.grid, k)),
         torus_type=form.torus if not form.sporadic or k == 1 else None)
 
@@ -262,10 +269,20 @@ def _check_core_order(inst):
 def _check_fibration(inst):
     if not inst.fibered:
         return True, "not fibered; nothing to compare"
-    exterior = h1(inst.surgery.unfill(inst.core_index))
-    bundle = bundle_h1(inst.monodromy)
+    key = _fibration_key(inst)
+    groups = _FIBRATION_GROUPS.get(key)
+    exterior, bundle = groups if groups else _fibration_groups(*key)
     ok = exterior == bundle
     return ok, f"exterior h1 = {exterior}, bundle h1 = {bundle}"
+
+
+def _fibration_key(inst):
+    return inst.surgery.unfill(inst.core_index), inst.monodromy
+
+
+def _fibration_groups(exterior, monodromy):
+    """H1 of the knot exterior, and H1 of the bundle of the monodromy."""
+    return h1(exterior), bundle_h1(monodromy)
 
 
 def _check_grid(inst):
@@ -403,3 +420,25 @@ def gof_filling(family) -> LensSpace:
     group = h1(whitehead(Slope.make(-n, 1), Slope.make(1, 0)))
     assert group.is_cyclic and group.order() == n
     return normalize(n, 1)
+
+
+def _fibration_table():
+    """The fibration check's groups, keyed by (exterior, monodromy), for the
+    fibered members at k = -1 and k = +1.
+
+    Both groups depend only on the key, and every fibered member of I-V
+    has the key of one of these: the members of I-III share their
+    exterior W(alpha, .) and their monodromy at every k, and IV and V are
+    fibered only at k = +-1.  The ten members give seven keys, since the
+    I-III members at k = -1 and k = +1 coincide.
+    """
+    table = {}
+    for family in _FORMS:
+        for k in (-1, 1):
+            key = _fibration_key(instantiate(family, k))
+            table[key] = _fibration_groups(*key)
+    return table
+
+
+# built once at import and never changed after
+_FIBRATION_GROUPS = _fibration_table()

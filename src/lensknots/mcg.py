@@ -50,9 +50,18 @@ _SYLLABLE = re.compile(r"^([xy])(?:\^(-?\d+))?$")
 
 @dataclass(frozen=True)
 class MappingWord:
-    """A word in the twists x, y as a tuple of (generator, exponent) syllables."""
+    """A word in the twists x, y as a tuple of (generator, exponent) syllables.
+
+    The syllables are tuples, so a word is hashable (a dictionary key)."""
 
     syllables: tuple
+
+    def __post_init__(self):
+        if type(self.syllables) is not tuple or not all(
+                type(s) is tuple and len(s) == 2 and s[0] in ("x", "y")
+                and type(s[1]) is int for s in self.syllables):
+            raise ValueError(f"syllables {self.syllables!r} must be a tuple of "
+                             f"(generator, int exponent) tuples, generator x or y")
 
     @classmethod
     def parse(cls, text: str) -> "MappingWord":
@@ -97,7 +106,7 @@ def evaluate(w):
     if isinstance(w, MappingWord):
         return w.matrix()
     (a, b), (c, d) = w  # a wrong shape fails to unpack with ValueError
-    if not all(isinstance(v, int) for v in (a, b, c, d)) or a * d - b * c != 1:
+    if not all(type(v) is int for v in (a, b, c, d)) or a * d - b * c != 1:
         raise ValueError(f"matrix {w!r} must have integer entries and determinant one")
     return (a, b), (c, d)
 

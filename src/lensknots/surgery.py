@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .lenspaces import Slope
-from .snf import smith_normal_form
+from .snf import determinant, smith_normal_form
 
 # order of an infinite-order element or infinite group; with this encoding
 # |H1| = |det| of the presentation holds for every closed manifold
@@ -91,6 +91,7 @@ class FramedLink:
 
     linking: tuple of tuples, symmetric with zero diagonal.
     coefficients: tuple of Slope or None (None = boundary left unfilled).
+    Every field is immutable, so a link is hashable (a dictionary key).
     """
 
     linking: tuple
@@ -98,6 +99,12 @@ class FramedLink:
     name: str = None
 
     def __post_init__(self):
+        if not (type(self.linking) is tuple and type(self.coefficients) is tuple
+                and all(type(row) is tuple for row in self.linking)):
+            raise ValueError("linking rows and coefficients must be tuples; "
+                             "FramedLink.make converts lists")
+        if self.name is not None and type(self.name) is not str:
+            raise ValueError(f"link name {self.name!r} is not a string")
         n = len(self.linking)
         if len(self.coefficients) != n:
             raise ValueError("need one filling coefficient per component")
@@ -185,8 +192,10 @@ def core_order(link: FramedLink, i: int):
     any (c, d) with p*d - q*c = 1.  That row and the relation row of
     component i span the meridian e_i and the longitude sum_j lk(i,j)*e_j,
     so killing the core leaves the other relation rows and the longitude,
-    with column i dropped to quotient out e_i.  The order is the quotient
-    of the torsion orders, or INFINITE (0) when the rank drops.
+    with column i dropped to quotient out e_i.  The order is |H1| over the
+    order of that quotient, or INFINITE (0) when the rank drops.  |H1| is
+    |det| of the square presentation; only when det = 0 does H1 itself
+    need a Smith form, to compare ranks.
     """
     n = link.num_components
     if not 0 <= i < n:
@@ -196,12 +205,16 @@ def core_order(link: FramedLink, i: int):
     if any(c is None for c in link.coefficients):
         raise ValueError("core_order needs a closed manifold: fill every component")
     rows = h1_presentation(link)
-    g = AbelianGroup.from_presentation(rows, n)
     others = rows[:i] + rows[i + 1:] + [link.linking[i]]
     g2 = AbelianGroup.from_presentation([r[:i] + r[i + 1:] for r in others], n - 1)
-    if g2.rank < g.rank:
-        return INFINITE
-    order, rest = divmod(math.prod(g.torsion), math.prod(g2.torsion))
+    det = determinant(rows)
+    if det:  # H1 is finite, and so is its quotient g2
+        order, rest = divmod(abs(det), math.prod(g2.torsion))
+    else:
+        g = AbelianGroup.from_presentation(rows, n)
+        if g2.rank < g.rank:
+            return INFINITE
+        order, rest = divmod(math.prod(g.torsion), math.prod(g2.torsion))
     assert rest == 0
     return order
 

@@ -362,6 +362,7 @@ MALFORMED_LINKS = {
     "flat-linking": '{"schema_version": 1, "linking": [0], "coefficients": ["1"]}',
     "string-coefficients": '{"schema_version": 1, "linking": [[0]], "coefficients": "3"}',
     "deep-nesting": "[" * 100000 + "]" * 100000,
+    "list-name": '{"schema_version": 1, "linking": [[0]], "coefficients": ["1"], "name": [1]}',
 }
 
 
@@ -419,6 +420,10 @@ LIBRARY_VALIDATIONS = {
     "bool-linking": "from lensknots.surgery import FramedLink; "
                     "FramedLink.make([[0, True], [True, 0]], ['1', '2'])",
     "bool-slope": "from lensknots.surgery import whitehead; whitehead(True, '-3')",
+    "list-linking": "from lensknots.surgery import FramedLink; FramedLink([[0]], (None,))",
+    "list-syllables": "from lensknots.mcg import MappingWord; MappingWord([('x', 1)])",
+    "bool-k": "from lensknots.families import instantiate; instantiate('I', True)",
+    "bool-matrix": "from lensknots.mcg import evaluate; evaluate(((True, 1), (0, True)))",
 }
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from lensknots import families
+from lensknots import families, surgery
 from lensknots.families import (FamilyId, FamilyInstance, coincidence_scan,
                                 family_space, filling_table, gof_filling,
                                 instantiate, torus_knot_types, verify)
@@ -65,6 +65,10 @@ def test_instantiate_validation():
     with pytest.raises(ValueError):
         instantiate("I", 0)
     with pytest.raises(ValueError):
+        instantiate("I", True)
+    with pytest.raises(ValueError):
+        instantiate("VI", rq=(7, True))
+    with pytest.raises(ValueError):
         instantiate("I", None)
     with pytest.raises(ValueError):
         instantiate("I", 1, rq=(5, 1))
@@ -85,6 +89,50 @@ def test_verify_passes_across_the_atlas():
             assert report.ok, (fam, k, [c for c in report.checks if not c.passed])
     for rq in ((7, 2), (6, 5), (0, 1), (-9, 2), (12, 5)):
         assert verify(instantiate("VI", rq=rq)).ok, rq
+
+
+KNOTTED = ("I", "II", "III", "IV", "V")
+
+
+def fibration_key(inst):
+    return inst.surgery.unfill(inst.core_index), inst.monodromy
+
+
+def test_verify_runs_two_smith_forms(monkeypatch):
+    """One for the homology check and one for the core order: the fibration
+    groups come from the table, and |H1| from a determinant."""
+    calls = []
+    snf = surgery.smith_normal_form
+
+    def counted(rows):
+        calls.append(rows)
+        return snf(rows)
+
+    monkeypatch.setattr(surgery, "smith_normal_form", counted)
+    for fam in KNOTTED:
+        for k in [k for k in range(-20, 21) if k]:
+            calls.clear()
+            assert verify(instantiate(fam, k)).ok
+            assert len(calls) == 2, (fam, k, calls)
+
+
+def test_fibration_table_keys():
+    members = [instantiate(fam, k) for fam in KNOTTED for k in (-1, 1)]
+    assert all(inst.fibered for inst in members)
+    assert set(families._FIBRATION_GROUPS) == {fibration_key(m) for m in members}
+    for fam in KNOTTED:
+        for k in [k for k in range(-50, 51) if k]:
+            inst = instantiate(fam, k)
+            if inst.fibered:
+                assert fibration_key(inst) in families._FIBRATION_GROUPS, (fam, k)
+
+
+def test_fibration_table_matches_computed_groups(monkeypatch):
+    """A lookup and the computation it saves give the same check result."""
+    insts = [instantiate(fam, k) for fam in KNOTTED for k in (-3, -1, 1, 2)]
+    looked_up = [families._check_fibration(inst) for inst in insts]
+    monkeypatch.setattr(families, "_FIBRATION_GROUPS", {})
+    assert [families._check_fibration(inst) for inst in insts] == looked_up
 
 
 def test_verify_catches_corruption():

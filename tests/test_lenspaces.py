@@ -27,6 +27,20 @@ def test_homeomorphism_examples():
     assert is_homeomorphic(LensSpace(12, -7), LensSpace(12, 7))
 
 
+lens_spaces = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(
+    lambda pq: math.gcd(*pq) == 1).map(lambda pq: LensSpace(*pq))
+
+
+@given(st.one_of(st.tuples(lens_spaces, lens_spaces),
+                 lens_spaces.map(lambda a: (a, a)),
+                 lens_spaces.map(lambda a: (a, normalize(a.p, a.q)))))
+def test_is_homeomorphic_compares_normal_forms(pair):
+    """The a == b shortcut answers as normalizing both sides does."""
+    a, b = pair
+    assert is_homeomorphic(a, b) == (normalize(a.p, a.q) == normalize(b.p, b.q))
+    assert is_homeomorphic(b, a) == is_homeomorphic(a, b)
+
+
 def test_coprimality_enforced():
     with pytest.raises(ValueError):
         LensSpace(6, 3)

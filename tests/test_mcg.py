@@ -30,6 +30,13 @@ def test_word_parse_and_normalize():
         MappingWord.parse("x z")
 
 
+def test_words_are_hashable():
+    assert {MappingWord.parse("x^2 y"): 1}[MappingWord((("x", 2), ("y", 1)))] == 1
+    for bad in ([("x", 1)], (["x", 1],), (("z", 1),), (("x", True),), (("x",),)):
+        with pytest.raises(ValueError):
+            MappingWord(bad)
+
+
 def test_word_power_formula():
     for p in range(1, 8):
         assert evaluate(f"x^{p} y") == ((1 - p, p), (-1, 1))
@@ -92,6 +99,8 @@ def test_non_integer_matrix_refused():
         bundle_h1(m)
     with pytest.raises(ValueError):
         conjugacy_invariant(((1.5, 0.5), (1, 1)))
+    with pytest.raises(ValueError):
+        evaluate(((True, 1), (0, True)))  # a bool is no matrix entry
 
 
 def test_matrix_rows_may_be_lists():

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lensknots.lenspaces import Slope
+from lensknots.snf import determinant
 from lensknots.surgery import (INFINITE, UNFILLED, AbelianGroup, FramedLink,
                                blow_down, builtin, chain3, core_order, h1,
                                h1_presentation, link_from_json, link_to_json,
@@ -31,7 +32,14 @@ def test_framed_link_validation():
         FramedLink(((0, 1), (2, 0)), (None, None))  # not symmetric
     with pytest.raises(ValueError):
         FramedLink(((1,),), (None,))  # nonzero diagonal
+    with pytest.raises(ValueError):
+        FramedLink([[0]], (None,))  # list rows: make converts them
+    with pytest.raises(ValueError):
+        FramedLink(((0,),), [None])
+    with pytest.raises(ValueError):
+        FramedLink(((0,),), (None,), name=["unknot"])
     link = FramedLink.make(((0, 2), (2, 0)), ("-3", None))
+    assert {link: 1}[FramedLink.make([[0, 2], [2, 0]], ["-3", None])] == 1
     assert link.coefficients[0] == Slope(-3, 1)
     assert link.coefficients[1] is None
     assert link.fill(1, "1/2").coefficients[1] == Slope(1, 2)
@@ -81,9 +89,10 @@ def test_h1_presentation_rows():
 
 
 def det(sq):
+    """Cofactor expansion along the first row."""
     n = len(sq)
-    if n == 1:
-        return sq[0][0]
+    if n <= 1:
+        return sq[0][0] if n else 1
     return sum((-1) ** j * sq[0][j] * det(
         [row[:j] + row[j + 1:] for row in sq[1:]]) for j in range(n))
 
@@ -125,6 +134,25 @@ def test_h1_order_is_presentation_determinant(entries, raw_coeffs):
         assert group.order() == INFINITE
     else:
         assert group.order() == abs(d)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([1, 3, 10 ** 12]).flatmap(
+    lambda bound: st.integers(0, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                           min_size=n, max_size=n))))
+def test_determinant_matches_cofactor_expansion(sq):
+    """Entries in -1..1 give zero pivots and singular matrices often."""
+    assert determinant(sq) == det(sq)
+
+
+def test_determinant_row_swaps():
+    assert determinant([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    assert determinant([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+    assert determinant([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
+    assert determinant([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
+    with pytest.raises(ValueError):
+        determinant([[1, 2, 3], [4, 5, 6]])
 
 
 def test_core_order_examples():
@@ -185,9 +213,9 @@ def reference_core_order(link, i, bezout):
 
 @st.composite
 def closed_links(draw):
-    """Links of 1-4 components, linking numbers in -3..3, every one filled
+    """Links of 1-6 components, linking numbers in -3..3, every one filled
     (q = 0 gives the infinite slope)."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
     linking = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -198,8 +226,34 @@ def closed_links(draw):
     return FramedLink.make(linking, coeffs)
 
 
+@st.composite
+def singular_links(draw):
+    """Integer surgeries of 1-6 components whose presentation drops rank.
+
+    With integer slopes the presentation is the linking matrix with the
+    slopes on its diagonal, so a symmetric matrix sum_r s_r v_r v_r^T of
+    fewer than n rank-one terms gives a link with det = 0.
+    """
+    n = draw(st.integers(1, 6))
+    a = [[0] * n for _ in range(n)]
+    for _ in range(draw(st.integers(0, n - 1))):
+        s = draw(st.sampled_from([-1, 1]))
+        v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        for i in range(n):
+            for j in range(n):
+                a[i][j] += s * v[i] * v[j]
+    link = FramedLink.make([[a[i][j] if i != j else 0 for j in range(n)]
+                            for i in range(n)],
+                           [Slope(a[i][i], 1) for i in range(n)])
+    assert determinant(h1_presentation(link)) == 0
+    return link
+
+
 @settings(max_examples=300)
-@given(closed_links(), st.integers(-3, 3).filter(bool))
+@given(st.one_of(closed_links(), singular_links()), st.integers(-3, 3).filter(bool))
+@example(whitehead("-3", "-5/2"), 1)  # det = 15
+@example(whitehead("0", "-3"), 1)  # det = 0, H1 = Z + Z/3
+@example(FramedLink.make(((0, 2), (2, 0)), ("4", "1")), -2)  # det = 4 - 4
 def test_core_order_bezout_independent(link, t):
     """The reference gives core_order at two Bezout solutions t apart."""
     for i in range(link.num_components):
