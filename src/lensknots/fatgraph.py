@@ -14,57 +14,31 @@ so start j of a bundle joins end n-1-j.  Slot m carries the label
 ((m + offset) mod t) + 1, and the corner gap between slots g and g+1 lies
 on the knot between consecutive labels.
 
-The fat graph is the slot permutation m -> partner(m), built once per
-configuration as a table together with the edge id and signed torus class
-of every slot.  Complementary regions are recovered by tracing boundary
-circles of the ribbon structure: leave by slot p, run along the arc to its
-partner, then turn through the corner gap at the arrival slot and leave by
-the next slot; the circles are the cycles of m -> (partner(m) + 1) mod s*t.
-Circles that are null-homologous in the torus bound complementary disks;
-homologically essential circles come in pairs bounding a single annulus
-region.
+The fat graph is the slot permutation m -> partner(m), a mirror pairing in
+closed form: with E = s*t/2 arcs, a bundle of n arcs whose first slot is b
+pairs slot m with E + 2b + n-1 - m.  Complementary regions are bounded by
+the circles of the ribbon structure: leave by slot p, run along the arc to
+its partner, then turn through the corner gap at the arrival slot and
+leave by the next slot; the circles are the cycles of
+m -> (partner(m) + 1) mod s*t.  Between neighbouring arcs j-1 and j of a
+bundle lies a bigon, whose slots, corners and colour are closed forms of
+j (see _bigons); it is a Scharlemann cycle exactly when t divides
+E + n - 2j.  Only the circles through the first start and first end slot
+of each bundle, at most six slots in all, are traced.  Circles that are
+null-homologous in the torus bound complementary disks; homologically
+essential circles come in pairs bounding a single annulus region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import starmap
 
 CLASSES = {"A": (1, 0), "B": (1, 1), "C": (0, 1)}
 BUNDLE_ORDER = ("A", "B", "C")
 
 
-def _slot_tables(counts):
-    """Per-slot (partner, edge id, signed class) lists for bundle counts.
-
-    Start j of a bundle with n arcs sits at base + j and its end at
-    e + base + n-1-j, where base counts the arcs of the earlier bundles and
-    e all arcs; the arc is traversed along its class from start to end.
-    """
-    e = sum(counts)
-    partner = [0] * (2 * e)
-    edge = [None] * (2 * e)
-    h1 = [None] * (2 * e)
-    base = 0
-    for letter, n in zip(BUNDLE_ORDER, counts):
-        x, y = CLASSES[letter]
-        for j in range(n):
-            start, end = base + j, e + base + n - 1 - j
-            partner[start], partner[end] = end, start
-            edge[start] = edge[end] = (letter, j)
-            h1[start], h1[end] = (x, y), (-x, -y)
-        base += n
-    return partner, edge, h1
-
-
-def _at(table, m):
-    """table[m] for a slot m, refusing the wrap-around of a negative m."""
-    if not 0 <= m < len(table):
-        raise IndexError(f"slot {m} out of range 0..{len(table) - 1}")
-    return table[m]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcSystemConfig:
     """Arc bundle multiplicities for a knot of order s and t torus punctures."""
 
@@ -76,6 +50,9 @@ class ArcSystemConfig:
     offset: int = 0
 
     def __post_init__(self):
+        fields = (self.s, self.t, self.n_a, self.n_b, self.n_c, self.offset)
+        if not all(type(v) is int for v in fields):
+            raise ValueError(f"s, t, multiplicities and offset must be ints, got {fields}")
         if self.s < 1:
             raise ValueError(f"s must be at least 1, got {self.s}")
         if self.t < 2 or self.t % 2:
@@ -108,24 +85,35 @@ class ArcSystemConfig:
                 for _ in range(n)]
         return " ".join(half + half)
 
-    @cached_property
-    def _tables(self):
-        return _slot_tables(self.counts)
+    def _bundle(self, m):
+        """(letter, n, b) of the bundle with an end at slot m: its n arcs
+        start at slots b..b+n-1 and end at E+b..E+b+n-1."""
+        e = self.num_edges
+        if not 0 <= m < 2 * e:
+            raise IndexError(f"slot {m} out of range 0..{2 * e - 1}")
+        r = m - e if m >= e else m
+        b = 0
+        for letter, n in zip(BUNDLE_ORDER, self.counts):
+            if r < b + n:
+                return letter, n, b
+            b += n
 
     def slot_info(self, m):
         """(bundle letter, index within bundle, is_start) of a global slot."""
-        letter, j = self.edge_of_slot(m)
-        if m < self.num_edges:
-            return letter, j, True
-        return letter, self.counts[BUNDLE_ORDER.index(letter)] - 1 - j, False
+        letter, _, b = self._bundle(m)
+        e = self.num_edges
+        return (letter, m - b, True) if m < e else (letter, m - e - b, False)
 
     def edge_of_slot(self, m):
         """Edge id (letter, j) of the arc with an end at slot m."""
-        return _at(self._tables[1], m)
+        letter, n, b = self._bundle(m)
+        e = self.num_edges
+        return letter, (m - b if m < e else e + b + n - 1 - m)
 
     def partner(self, m):
         """The other end of the arc ending at slot m (nested pairing)."""
-        return _at(self._tables[0], m)
+        _, n, b = self._bundle(m)
+        return self.num_edges + 2 * b + n - 1 - m
 
     def label(self, m):
         """Knot-point label of slot m, in 1..t."""
@@ -181,7 +169,7 @@ def parity_check_closed_form(cfg: ArcSystemConfig) -> bool:
     return all(n == 0 or (e + n) % 2 == 0 for n in cfg.counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
     """One boundary circle of the ribbon graph neighbourhood."""
 
@@ -200,7 +188,7 @@ class Circle:
         return self.h1_class != (0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     """A complementary region: a disk (one circle) or annulus (two)."""
 
@@ -223,7 +211,7 @@ class Region:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceReport:
     config: ArcSystemConfig
     circles: tuple
@@ -242,11 +230,19 @@ class FaceReport:
         return sorted(r.length for r in self.disks)
 
 
-def _trace_circle(cfg, start, seen, edge, h1_class):
-    """Trace the circle that leaves by slot start, marking its out slots in
-    seen; edge and h1_class are the per-slot tables of cfg."""
+@dataclass(frozen=True, slots=True)
+class ScharlemannCycle:
+    edges: frozenset
+    length: int
+    label_pair: frozenset  # the two knot-point labels the cycle runs between
+    color: object
+
+
+def _trace_circle(cfg, start, seen):
+    """Trace the circle that leaves by slot start, adding its out slots to
+    seen."""
     partner = cfg.partner
-    num_slots = len(seen)
+    e = cfg.num_edges
     out_slots = []
     corners = []
     edges = []
@@ -254,15 +250,19 @@ def _trace_circle(cfg, start, seen, edge, h1_class):
     p = start
     while True:
         out_slots.append(p)
-        seen[p] = True
-        edges.append(edge[p])
-        dx, dy = h1_class[p]
-        x += dx
-        y += dy
+        seen.add(p)
+        edge = cfg.edge_of_slot(p)
+        edges.append(edge)
+        # an arc is traversed along its class from its start to its end
+        dx, dy = CLASSES[edge[0]]
+        if p < e:
+            x, y = x + dx, y + dy
+        else:
+            x, y = x - dx, y - dy
         arrive = partner(p)
         corners.append(arrive)
         p = arrive + 1
-        if p == num_slots:
+        if p == 2 * e:
             p = 0
         if p == start:
             break
@@ -273,38 +273,110 @@ def _trace_circle(cfg, start, seen, edge, h1_class):
     return Circle(tuple(out_slots), tuple(corners), frozenset(edges), (x, y), color)
 
 
-def faces(cfg: ArcSystemConfig) -> FaceReport:
-    """Trace all complementary regions of the arc system in the torus."""
-    _, edge, h1_class = cfg._tables
-    seen = [False] * cfg.num_slots
-    circles = []
-    for start, done in enumerate(seen):
-        if not done:
-            circles.append(_trace_circle(cfg, start, seen, edge, h1_class))
-    assert sum(c.length for c in circles) == cfg.num_slots
-    essential = [c for c in circles if c.is_essential]
-    null = [c for c in circles if not c.is_essential]
+def _bigons(cfg, letter, n, b, js):
+    """Bigon j, for each j in js with 1 <= j < n, of the bundle `letter` of
+    n arcs from slot b, as the fields of its Circle in their order.
+
+    Bigon j is the disk between the bundle's arcs j-1 and j.  Leaving by
+    start b+j, its circle arrives at the end E+b+n-1-j, leaves by the next
+    slot E+b+n-j, which is the end of arc j-1, arrives at b+j-1 and is back
+    at b+j; its class is zero.  Its two corners lie E+n-2j apart, so at
+    t = 2 they share a colour exactly when E+n is even, and they lie on
+    one knot segment v = (E+b+n-1-j + offset) mod t exactly when t divides
+    E+n-2j: then the bigon is a Scharlemann cycle.
+    """
+    e = cfg.num_edges
+    if cfg.t == 2 and (e + n) % 2 == 0:
+        # the first corner E+b+n-1-j alternates in parity, so in colour, with j
+        colors = (cfg.corner_color(e + b + n - 1), cfg.corner_color(e + b + n))
+    else:
+        colors = (None, None)
+    for j in js:
+        corner = e + b + n - 1 - j
+        yield ((b + j, corner + 1), (corner, b + j - 1),
+               frozenset({(letter, j), (letter, j - 1)}), (0, 0), colors[j % 2])
+
+
+def _outer_walk(cfg):
+    """The circles of cfg that are not bigons, in bundle order.
+
+    Returns (steps, tail, essential).  Each step (head, letter, n, b) is a
+    nonempty bundle of n arcs from slot b, with head the circle whose least
+    slot is b, or None; tail holds the circles whose least slot is an end
+    slot.  Taking each step's head and then the bundle's bigons, and the
+    tail last, lists every circle in order of its least slot.  essential
+    holds the essential circles, none or a pair, in that order.
+
+    The slots off the bigons are the first start b and first end E+b of
+    each nonempty bundle, at most six, so only these are traced; tracing
+    the start slots before the end slots begins each circle at its least
+    slot.  Checks the invariants of the whole decomposition.
+    """
+    if not isinstance(cfg, ArcSystemConfig):
+        raise ValueError(f"expected an ArcSystemConfig, got {cfg!r}")
+    e = cfg.num_edges
+    bundles = []
+    b = 0
+    for letter, n in zip(BUNDLE_ORDER, cfg.counts):
+        if n:
+            bundles.append((letter, n, b))
+        b += n
+    seen = set()
+    outer = [_trace_circle(cfg, m, seen)
+             for m in [b for _, _, b in bundles] + [e + b for _, _, b in bundles]
+             if m not in seen]
+    # bigons fill 2(n-1) slots of each bundle and these circles the rest
+    assert (sum(2 * (n - 1) for _, n, _ in bundles)
+            + sum(c.length for c in outer)) == cfg.num_slots
+    essential = [c for c in outer if c.is_essential]
     # a disjoint union of circles on the torus has zero total class, and
     # at most one complementary region is not a disk, so essential circles
     # cancel in a single pair bounding one annulus
     assert len(essential) in (0, 2)
-    regions = [Region("disk", (c,), c.color) for c in null]
+    if essential:
+        a, c = essential
+        assert (a.h1_class[0] + c.h1_class[0],
+                a.h1_class[1] + c.h1_class[1]) == (0, 0)
+    heads = {c.out_slots[0]: c for c in outer if c.out_slots[0] < e}
+    steps = [(heads.get(b), letter, n, b) for letter, n, b in bundles]
+    return steps, [c for c in outer if c.out_slots[0] >= e], essential
+
+
+def faces(cfg: ArcSystemConfig) -> FaceReport:
+    """All complementary regions of the arc system in the torus."""
+    steps, tail, essential = _outer_walk(cfg)
+    circles = []
+    for head, letter, n, b in steps:
+        if head is not None:
+            circles.append(head)
+        circles.extend(starmap(Circle, _bigons(cfg, letter, n, b, range(1, n))))
+    circles.extend(tail)
+    regions = [Region("disk", (c,), c.color) for c in circles if not c.is_essential]
     if essential:
         a, b = essential
-        assert (a.h1_class[0] + b.h1_class[0],
-                a.h1_class[1] + b.h1_class[1]) == (0, 0)
         colors = {a.color, b.color}
         color = colors.pop() if len(colors) == 1 else None
         regions.append(Region("annulus", (a, b), color))
     return FaceReport(cfg, tuple(circles), tuple(regions))
 
 
-@dataclass(frozen=True)
-class ScharlemannCycle:
-    edges: frozenset
-    length: int
-    label_pair: frozenset  # the two knot-point labels the cycle runs between
-    color: object
+def _label_pair(t, v):
+    """The labels v+1 and v+2 (mod t) on either side of knot segment v."""
+    return frozenset({v + 1, (v + 1) % t + 1})
+
+
+def _disk_cycle(cfg, circle, color):
+    """The Scharlemann cycle of a disk boundary whose corners all lie on
+    one knot segment v, or None.
+
+    corners[i] is the partner of out_slots[i] and out_slots[i+1] is
+    corners[i] + 1 (mod s*t), so every edge then joins labels v+1 and v+2.
+    """
+    sides = {cfg.corner_side(g) for g in circle.corners}
+    if len(sides) != 1:
+        return None
+    return ScharlemannCycle(circle.edges, circle.length,
+                            _label_pair(cfg.t, sides.pop()), color)
 
 
 def scharlemann_cycles(cfg) -> tuple:
@@ -313,22 +385,39 @@ def scharlemann_cycles(cfg) -> tuple:
     Such a disk has every corner at the same gap value mod t and every edge
     joining the two labels adjacent to that gap; it is the basic tool for
     bounding the intersection number t.  Accepts a configuration or a
-    FaceReport.
+    FaceReport; a configuration's cycles are read off its bigons in closed
+    form and its few traced circles, without building its faces.
     """
-    report = faces(cfg) if isinstance(cfg, ArcSystemConfig) else cfg
-    cfg = report.config
+    if isinstance(cfg, FaceReport):
+        return tuple(c for c in (_disk_cycle(cfg.config, r.circles[0], r.color)
+                                 for r in cfg.disks) if c is not None)
+    if not isinstance(cfg, ArcSystemConfig):
+        raise ValueError(f"expected an ArcSystemConfig or a FaceReport, got {cfg!r}")
+    steps, tail, _ = _outer_walk(cfg)
+    t, e = cfg.t, cfg.num_edges
+    half = t // 2
     out = []
-    for region in report.disks:
-        circle = region.circles[0]
-        sides = {cfg.corner_side(g) for g in circle.corners}
-        if len(sides) != 1:
+
+    def outer_cycle(circle):
+        if not circle.is_essential:
+            cycle = _disk_cycle(cfg, circle, circle.color)
+            if cycle is not None:
+                out.append(cycle)
+
+    for head, letter, n, b in steps:
+        if head is not None:
+            outer_cycle(head)
+        # t divides E+n-2j only for an even E+n, and then exactly when
+        # j = (E+n)/2 mod t/2
+        if (e + n) % 2:
             continue
-        v = sides.pop()
-        # corners[i] is the partner of out_slots[i] and out_slots[i+1] is
-        # corners[i] + 1 (mod s*t), so every edge joins labels v+1 and v+2
-        pair = frozenset({v + 1, (v + 1) % cfg.t + 1})
-        out.append(ScharlemannCycle(circle.edges, circle.length, pair,
-                                    region.color))
+        first = ((e + n) // 2 - 1) % half + 1
+        out.extend(ScharlemannCycle(edges, 2, _label_pair(t, cfg.corner_side(corners[0])),
+                                    color)
+                   for _, corners, edges, _, color
+                   in _bigons(cfg, letter, n, b, range(first, n, half)))
+    for circle in tail:
+        outer_cycle(circle)
     return tuple(out)
 
 
@@ -342,10 +431,10 @@ def enumerate_configs(t, max_parallel, require_max=False):
     bundle reaches max_parallel.  Every s compatible with the multiplicity
     bound is scanned.
     """
-    if t < 2 or t % 2:
-        raise ValueError(f"t must be even and at least 2, got {t}")
-    if max_parallel < 1:
-        raise ValueError(f"max_parallel must be at least 1, got {max_parallel}")
+    if type(t) is not int or t < 2 or t % 2:
+        raise ValueError(f"t must be an even int of at least 2, got {t!r}")
+    if type(max_parallel) is not int or max_parallel < 1:
+        raise ValueError(f"max_parallel must be an int of at least 1, got {max_parallel!r}")
     out = []
     for s in range(1, 6 * max_parallel // t + 1):
         target = s * t // 2

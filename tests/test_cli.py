@@ -424,6 +424,16 @@ LIBRARY_VALIDATIONS = {
     "list-syllables": "from lensknots.mcg import MappingWord; MappingWord([('x', 1)])",
     "bool-k": "from lensknots.families import instantiate; instantiate('I', True)",
     "bool-matrix": "from lensknots.mcg import evaluate; evaluate(((True, 1), (0, True)))",
+    "float-config": "from lensknots.fatgraph import ArcSystemConfig; "
+                    "ArcSystemConfig(1.0, 2, 1, 0, 0)",
+    "bool-config": "from lensknots.fatgraph import ArcSystemConfig; "
+                   "ArcSystemConfig(True, 2, 1, 0, 0)",
+    "float-t": "from lensknots.fatgraph import enumerate_configs; enumerate_configs(2.0, 3)",
+    "float-max-parallel": "from lensknots.fatgraph import enumerate_configs; "
+                          "enumerate_configs(2, 3.0)",
+    "none-faces": "from lensknots.fatgraph import faces; faces(None)",
+    "none-cycles": "from lensknots.fatgraph import scharlemann_cycles; "
+                   "scharlemann_cycles(None)",
 }
 
 

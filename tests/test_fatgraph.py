@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lensknots import fatgraph
+from lensknots.cli import run
 from lensknots.fatgraph import (BUNDLE_ORDER, CLASSES, ArcSystemConfig, Circle,
                                 FaceReport, Region, ScharlemannCycle,
                                 enumerate_configs, faces, parity_check,
@@ -199,10 +203,10 @@ def test_slot_partner_involution(s, a, b, c):
         assert cfg.edge_of_slot(partner) == cfg.edge_of_slot(m)
 
 
-# --- a scan-based reference for the table-driven tracer ----------------------
+# --- a scan-based reference for the closed-form fat graph --------------------
 #
-# The pairing re-derived for every slot by walking the bundles, and the
-# circles traced from it, as first written; faces() must agree with it
+# The pairing re-derived for every slot by walking the bundles, and every
+# circle traced from it, as first written; faces() must agree with it
 # field for field.
 
 def ref_slot_info(cfg, m):
@@ -308,3 +312,77 @@ def test_tables_agree_with_scan_reference(cfg):
     assert scharlemann_cycles(cfg) == ref_scharlemann_cycles(ref)
     assert scharlemann_cycles(report) == scharlemann_cycles(cfg)
     assert parity_check(cfg) == parity_check_closed_form(cfg)
+
+
+def test_closed_form_agrees_with_scan_reference_exhaustively():
+    """Every configuration with at most 12 arcs at t = 2, 4, 6, at every
+    offset: parity failures and empty or single-arc bundles included."""
+    seen = {"parity fails": 0, "empty bundle": 0, "single arc": 0}
+    for base in all_configs(max_edges=12, ts=(2, 4, 6)):
+        seen["parity fails"] += not parity_check_closed_form(base)
+        seen["empty bundle"] += 0 in base.counts
+        seen["single arc"] += 1 in base.counts
+        for offset in range(base.t):
+            cfg = dataclasses.replace(base, offset=offset)
+            for m in range(cfg.num_slots):
+                assert cfg.slot_info(m) == ref_slot_info(cfg, m)
+                assert cfg.edge_of_slot(m) == ref_edge_of_slot(cfg, m)
+                assert cfg.partner(m) == ref_partner(cfg, m)
+            ref = ref_faces(cfg)
+            assert faces(cfg) == ref, cfg
+            assert (scharlemann_cycles(cfg) == ref_scharlemann_cycles(ref)
+                    == scharlemann_cycles(faces(cfg))), cfg
+    assert min(seen.values()) > 0
+
+
+def test_only_the_outer_circles_are_traced(monkeypatch):
+    """Bigons come in closed form: faces and scharlemann_cycles each ask
+    for at most six partners, however many arcs, and scharlemann_cycles
+    does not build the faces."""
+    calls = []
+    partner = ArcSystemConfig.partner
+
+    def counted(cfg, m):
+        calls.append(m)
+        return partner(cfg, m)
+
+    monkeypatch.setattr(ArcSystemConfig, "partner", counted)
+    cfg = ArcSystemConfig(1000, 2, 400, 350, 250)
+    report = faces(cfg)
+    assert 0 < len(calls) <= 6
+    assert len(report.disks) == cfg.num_edges - 1
+
+    def no_faces(cfg):
+        raise AssertionError("scharlemann_cycles built the faces")
+
+    monkeypatch.setattr(fatgraph, "faces", no_faces)
+    calls.clear()
+    cycles = scharlemann_cycles(cfg)
+    assert 0 < len(calls) <= 6
+    # at t = 2 with the parity rule every bigon is a Scharlemann cycle
+    assert len(cycles) >= 399 + 349 + 249
+
+
+CONFIG_LINE = re.compile(r"s=(\d+) t=(\d+) arcs=\((\d+),(\d+),(\d+)\)")
+
+
+@pytest.mark.parametrize("t", [2, 4, 6])
+def test_enum_graphs_slices_have_sound_faces(capsys, t):
+    """An enum-graphs slice as the benchmark's arc census runs it: every
+    printed configuration's faces obey the Euler count, cover the slots
+    once, have at most one annulus, and its Scharlemann cycles are disks."""
+    assert run(["enum-graphs", "--t", str(t), "--max-parallel", "6",
+                "--require-max"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"count: {len(lines) - 1}" and len(lines) > 1
+    for line in lines[:-1]:
+        cfg = ArcSystemConfig(*map(int, CONFIG_LINE.fullmatch(line).groups()))
+        report = faces(cfg)
+        assert len(report.disks) == cfg.num_edges - 1
+        slots = sorted(p for circle in report.circles for p in circle.out_slots)
+        assert slots == list(range(cfg.num_slots))
+        assert len(report.annuli) <= 1
+        disks = {(r.edges, r.length) for r in report.disks}
+        cycles = scharlemann_cycles(cfg)
+        assert all((c.edges, c.length) in disks for c in cycles)
+        assert cycles == scharlemann_cycles(report)
