@@ -19,22 +19,19 @@ fibered exactly when k = +-1 and are torus knots only at k = +1.
 
 instantiate() populates every attribute from the closed forms; verify()
 recomputes each one by an independent route (surgery homology, core
-orders, bundle homology of the monodromy, grid witnesses, the shipped
-filling table) and reports per-check results.
+orders, bundle homology of the monodromy, grid witnesses, the core's
+self-linking in the lens space) and reports per-check results.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import os
-from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
+from dataclasses import dataclass, fields, replace
 from math import gcd, lcm
 
 from .gridknots import find_torus_grid_witness, grid1_order
-from .lenspaces import LensSpace, Slope, is_homeomorphic, normalize
+from .lenspaces import LensSpace, Slope, normalize
 from .mcg import MappingWord, bundle_h1
 from .surgery import (FramedLink, core_order, h1, link_from_obj, link_to_obj,
                       unknot, whitehead)
@@ -79,11 +76,12 @@ _FORMS = {
                             torus=(2, 4), twists=(2, 2)),
     FamilyId.III: FamilyForm(-3, -3, (9, -3), (3, -2), core=1, s=(3, -1), grid=(0, 3),
                              torus=(3, 3), twists=(3, 3)),
-    FamilyId.IV: FamilyForm(-3, -3, (9, -3), (3, -2), core=0, s=(0, 3), grid=(3, -1),
-                            torus=(2, 4), twists=(4, 2), sporadic=True),
-    FamilyId.V: FamilyForm(-2, -4, (8, -2), (4, 1), core=0, s=(0, 2), grid=(4, -1),
-                           torus=(3, 3), twists=(5, 3), sporadic=True),
 }
+# IV and V are the other cores of III's and II's fillings
+_FORMS[FamilyId.IV] = replace(_FORMS[FamilyId.III], core=0, s=(0, 3), grid=(3, -1),
+                              torus=(2, 4), twists=(4, 2), sporadic=True)
+_FORMS[FamilyId.V] = replace(_FORMS[FamilyId.II], core=0, s=(0, 2), grid=(4, -1),
+                             torus=(3, 3), twists=(5, 3), sporadic=True)
 
 
 # instantiate's per-family constants, built once: the slope alpha and the
@@ -133,8 +131,18 @@ class FamilyInstance:
 
     @classmethod
     def from_dict(cls, d) -> "FamilyInstance":
+        if not isinstance(d, dict):
+            raise ValueError("an instance is one JSON object")
         if d.get("schema_version") != 1:
             raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
+        missing = [f.name for f in fields(cls) if f.name not in d]
+        if missing:
+            raise ValueError(f"instance lacks {', '.join(missing)}")
+        kinds = {"space": str, "rq": (list, type(None)), "torus_type": (list, type(None)),
+                 "monodromy": (str, type(None))}
+        wrong = [key for key, kind in kinds.items() if not isinstance(d[key], kind)]
+        if wrong:
+            raise ValueError(f"instance has malformed {', '.join(wrong)}")
         return cls(
             family=FamilyId(d["family"]),
             k=d["k"],
@@ -242,7 +250,7 @@ def verify(inst: FamilyInstance) -> VerificationReport:
         _check("core_order", lambda: _check_core_order(inst)),
         _check("fibration", lambda: _check_fibration(inst)),
         _check("grid", lambda: _check_grid(inst)),
-        _check("filling_table", lambda: _check_filling_table(inst)),
+        _check("linking_form", lambda: _check_linking_form(inst)),
         _check("torus_type", lambda: _check_torus_type(inst)),
     )
     return VerificationReport(_label(inst), checks)
@@ -300,13 +308,30 @@ def _check_grid(inst):
     return ok, detail
 
 
-def _check_filling_table(inst):
-    for row in filling_table():
-        expected = row.space_for(inst)
-        if expected is not None:
-            ok = is_homeomorphic(inst.space, expected)
-            return ok, f"table row gives {expected}, instance has {inst.space}"
-    return False, "no filling table row matches the surgery description"
+def _check_linking_form(inst):
+    """p*lk(K,K) of the core against +-n^2 q^+-1 mod p, the self-linking of
+    the n-th grid-number-one knot in L(p,q).
+
+    With every lk zero, the core of a component filled with slope a/b is
+    c*e_i for c = b^-1 mod a, and lk(e_i, e_i) = -b/a mod 1, so
+    p*lk(K,K) = -b*c^2*(p/a) mod p.  The sign and the choice of q or q^-1
+    are the orientation and the core that normalization forgets.
+    """
+    p = inst.space.order
+    if p <= 1:
+        return True, f"{inst.space} has no torsion linking form; nothing to compare"
+    if any(map(any, inst.surgery.linking)):
+        return False, "components link; no closed form for the self-linking"
+    slope = inst.surgery.coefficients[inst.core_index]
+    a, b = slope.p, slope.q
+    if a == 0 or p % a:
+        return False, f"core slope {slope} does not divide |H1| = {p}"
+    c = pow(b, -1, abs(a))
+    got = -b * c * c * (p // a) % p
+    n2, q = inst.grid_index ** 2, inst.space.q
+    want = (n2 * q % p, n2 * pow(q, -1, p) % p)
+    ok = got in want or -got % p in want
+    return ok, f"p*lk(K,K) = {got} mod {p}, expected +-{want[0]} or +-{want[1]}"
 
 
 def _check_torus_type(inst):
@@ -323,11 +348,11 @@ def _is_torus_type(da, db):
     return m // da + m // db + 1 == m
 
 
-# --- the shipped filling table -----------------------------------------------
+# --- the filling table -------------------------------------------------------
 
 @dataclass(frozen=True)
 class FillingTableRow:
-    """One row of the lens-space filling table shipped as package data."""
+    """One lens-space filling: of the Whitehead link, or the unknot's -r/q."""
 
     link: str
     alpha: object
@@ -349,19 +374,11 @@ class FillingTableRow:
         return normalize(_linear(self.p, inst.k), _linear(self.q, inst.k))
 
 
-@lru_cache(maxsize=1)
 def filling_table():
-    text = resources.files("lensknots.data").joinpath("lens_fillings.json").read_text()
-    obj = json.loads(text)
-    if obj.get("schema_version") != 1:
-        raise ValueError(f"unsupported filling table schema_version "
-                         f"{obj.get('schema_version')!r}")
-    rows = []
-    for r in obj["rows"]:
-        p = tuple(r["p"]) if isinstance(r["p"], list) else r["p"]
-        q = tuple(r["q"]) if isinstance(r["q"], list) else r["q"]
-        rows.append(FillingTableRow(r["link"], r["alpha"], r["beta"], p, q))
-    return tuple(rows)
+    """The distinct Whitehead fillings of the families, then the unknot's."""
+    fillings = dict.fromkeys((f.alpha, f.beta, f.p, f.q) for f in _FORMS.values())
+    return tuple(FillingTableRow("whitehead", *f) for f in fillings) + (
+        FillingTableRow("unknot", None, None, "r", "q"),)
 
 
 # --- global facts ------------------------------------------------------------

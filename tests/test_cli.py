@@ -409,6 +409,14 @@ LIBRARY_VALIDATIONS = {
     "from_dict": "from lensknots.families import FamilyInstance, instantiate; "
                  "FamilyInstance.from_dict({**instantiate('I', 3).to_dict(), "
                  "'schema_version': 7})",
+    "from_dict-missing-key": "from lensknots.families import FamilyInstance; "
+                             "FamilyInstance.from_dict({'schema_version': 1})",
+    "from_dict-rq": "from lensknots.families import FamilyInstance, instantiate; "
+                    "FamilyInstance.from_dict({**instantiate('VI', rq=(7, 2)).to_dict(), "
+                    "'rq': 7})",
+    "from_dict-torus-type": "from lensknots.families import FamilyInstance, instantiate; "
+                            "FamilyInstance.from_dict({**instantiate('I', 3).to_dict(), "
+                            "'torus_type': 3})",
     "coincidence_scan": "from lensknots.families import coincidence_scan; "
                         "coincidence_scan(0)",
     "torus_knot_sequence": "from lensknots.gridknots import torus_knot_sequence; "

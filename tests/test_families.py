@@ -145,7 +145,7 @@ def test_verify_catches_corruption():
 
     wrong_space = dataclasses.replace(good, space=LensSpace(7, 1))
     failed = {c.name for c in verify(wrong_space).checks if not c.passed}
-    assert "homology" in failed and "filling_table" in failed
+    assert "homology" in failed and "linking_form" in failed
 
     wrong_word = dataclasses.replace(good, monodromy=MappingWord.parse("x^2 y"))
     failed = {c.name for c in verify(wrong_word).checks if not c.passed}
@@ -166,7 +166,7 @@ def test_report_shape():
     d = report.to_dict()
     assert d["schema_version"] == 1 and d["ok"] is True
     assert {c["name"] for c in d["checks"]} == {
-        "homology", "core_order", "fibration", "grid", "filling_table",
+        "homology", "core_order", "fibration", "grid", "linking_form",
         "torus_type"}
 
 
@@ -187,20 +187,13 @@ def test_from_dict_rejects_other_schema_versions():
         FamilyInstance.from_dict(d)
 
 
-def test_filling_table_rejects_other_schema_versions(monkeypatch):
-    class Data:  # stands in for importlib.resources on the package data
-        def files(self, package):
-            return self
-
-        def joinpath(self, name):
-            return self
-
-        def read_text(self):
-            return '{"schema_version": 2, "rows": []}'
-
-    monkeypatch.setattr(families, "resources", Data())
-    with pytest.raises(ValueError):
-        filling_table.__wrapped__()  # past the lru_cache
+def test_from_dict_rejects_malformed_instances():
+    d = instantiate("VI", rq=(7, 2)).to_dict()
+    for bad in ([], {"schema_version": 1}, {**d, "rq": 7}, {**d, "rq": "72"},
+                {**d, "torus_type": 3}, {**d, "monodromy": 5}, {**d, "space": None},
+                {key: v for key, v in d.items() if key != "grid_index"}):
+        with pytest.raises(ValueError):
+            FamilyInstance.from_dict(bad)
 
 
 def test_filling_table_contents():
@@ -213,6 +206,74 @@ def test_filling_table_contents():
             inst = instantiate(fam, k)
             predicted = [row.space_for(inst) for row in rows]
             assert inst.space in [normalize(p.p, p.q) for p in predicted if p]
+
+
+def linking_form(inst):
+    (check,) = [c for c in verify(inst).checks if c.name == "linking_form"]
+    return check
+
+
+def test_linking_form_matches_the_grid_index_and_q():
+    """p*lk(K,K) = -n^2 q^-1 for every member of I-V but I at k = -1, L(7,2),
+    where it is n^2 q."""
+    for fam in KNOTTED:
+        for k in [k for k in range(-30, 31) if k] + [10**15, -10**40]:
+            inst = instantiate(fam, k)
+            p, q, n = inst.space.order, inst.space.q, inst.grid_index
+            want = n * n * q if (fam, k) == ("I", -1) else -n * n * pow(q, -1, p)
+            check = linking_form(inst)
+            assert check.passed, (fam, k, check)
+            assert check.detail.startswith(f"p*lk(K,K) = {want % p} mod {p},"), (fam, k)
+
+
+def test_linking_form_edge_inputs():
+    s1xs2 = linking_form(instantiate("VI", rq=(0, 1)))
+    assert s1xs2.passed and "no torsion linking form" in s1xs2.detail
+
+    good = instantiate("I", 1)  # L(5,1), W(-1, -5) with core 2
+    for link, named in ((surgery.chain3("-1", "-5", "1"), "components link"),
+                        (surgery.whitehead("-1", "0"), "core slope 0 does not divide"),
+                        (surgery.whitehead("-1", "-7"), "core slope -7 does not divide")):
+        check = linking_form(dataclasses.replace(good, surgery=link))
+        assert not check.passed and check.detail.startswith(named), check
+
+
+def _mutants():
+    """Every +-1 mutation of a filling's p or q entry, applied to each family
+    sharing that filling, and of each family's grid entry."""
+    shared = {}
+    for fam, form in families._FORMS.items():
+        shared.setdefault((form.alpha, form.beta, form.p, form.q), []).append(fam)
+    out = [(tuple(fams), field) for fams in shared.values() for field in ("p", "q")]
+    out += [((fam,), "grid") for fam in families._FORMS]
+    return [pytest.param(fams, field, i, d,
+                         id=f"{'+'.join(f.value for f in fams)}.{field}[{i}]{d:+d}")
+            for fams, field in out for i in (0, 1) for d in (1, -1)]
+
+
+@pytest.mark.parametrize("fams, field, i, d", _mutants())
+def test_verify_catches_every_closed_form_mutant(monkeypatch, fams, field, i, d):
+    """verify over k in -20..20 fails on the mutant: a wrong p fails
+    homology, a wrong q linking_form (or, where p and q share a factor at
+    every k, instantiate), a wrong grid index grid."""
+    for fam in fams:
+        form = families._FORMS[fam]
+        entries = list(getattr(form, field))
+        entries[i] += d
+        monkeypatch.setitem(families._FORMS, fam,
+                            dataclasses.replace(form, **{field: tuple(entries)}))
+    caught, built = set(), False
+    for fam in fams:
+        for k in [k for k in range(-20, 21) if k]:
+            try:
+                inst = instantiate(fam, k)
+            except ValueError:  # cli._verify_one prints FAIL for it
+                caught.add("instantiate")
+                continue
+            built = True
+            caught |= {c.name for c in verify(inst).checks if not c.passed}
+    guard = {"p": "homology", "q": "linking_form", "grid": "grid"}[field]
+    assert (guard in caught) if built else (caught == {"instantiate"}), caught
 
 
 def test_gof_fillings():
