@@ -24,7 +24,7 @@ from .fatgraph import (ArcSystemConfig, Circle, FaceReport, Region,
 from .gridknots import (Grid1Knot, find_torus_grid_witness, grid1_order,
                         torus_knot_sequence)
 from .lenspaces import (INFINITY, LensSpace, Slope, from_continued_fraction,
-                        is_homeomorphic, normalize, slope_distance)
+                        is_homeomorphic, normalize, q_orbit, slope_distance)
 from .mcg import (IDENTITY, TWIST_X, TWIST_Y, MappingWord, NTClass,
                   TorusMapClass, bundle_h1, classify, conjugacy_invariant,
                   evaluate, lens_filling_word)

@@ -17,10 +17,12 @@ L(r,q) with |r| != 1.
 Families I-III are torus knots of types {2,3}, {2,4}, {3,3}; IV and V are
 fibered exactly when k = +-1 and are torus knots only at k = +1.
 
-instantiate() populates every attribute from the closed forms; verify()
-recomputes each one by an independent route (surgery homology, core
-orders, bundle homology of the monodromy, grid witnesses, the core's
-self-linking in the lens space) and reports per-check results.
+instantiate() populates every attribute from the closed forms in _FORMS,
+read at each call; an instance is fibered exactly when it carries a
+monodromy.  verify() recomputes each attribute by an independent route
+(surgery homology, core orders, bundle homology of the monodromy, grid
+witnesses, the core's self-linking in the lens space) and reports
+per-check results.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, fields, replace
 from math import gcd, lcm
 
 from .gridknots import find_torus_grid_witness, grid1_order
-from .lenspaces import LensSpace, Slope, normalize
+from .lenspaces import LensSpace, Slope, normalize, q_orbit
 from .mcg import MappingWord, bundle_h1
 from .surgery import (FramedLink, core_order, h1, link_from_obj, link_to_obj,
                       unknot, whitehead)
@@ -84,13 +86,6 @@ _FORMS[FamilyId.V] = replace(_FORMS[FamilyId.II], core=0, s=(0, 2), grid=(4, -1)
                              torus=(3, 3), twists=(5, 3), sporadic=True)
 
 
-# instantiate's per-family constants, built once: the slope alpha and the
-# monodromy words x^n y at k = -1 and at k = +1
-_ALPHA = {f: Slope.make(form.alpha, 1) for f, form in _FORMS.items()}
-_WORDS = {f: tuple(MappingWord((("x", n), ("y", 1))) for n in form.twists)
-          for f, form in _FORMS.items()}
-
-
 def _linear(ab, k):
     return ab[0] * k + ab[1]
 
@@ -108,10 +103,13 @@ class FamilyInstance:
     surgery: FramedLink
     core_index: int
     order_s: int       # 0 encodes infinite order (S1xS2 only)
-    fibered: bool
-    monodromy: object  # MappingWord or None
+    monodromy: object  # MappingWord, or None when not fibered
     grid_index: int
     torus_type: object  # (da, db) or None
+
+    @property
+    def fibered(self):
+        return self.monodromy is not None
 
     def to_dict(self):
         return {
@@ -135,24 +133,36 @@ class FamilyInstance:
             raise ValueError("an instance is one JSON object")
         if d.get("schema_version") != 1:
             raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-        missing = [f.name for f in fields(cls) if f.name not in d]
+        missing = [key for key in (*(f.name for f in fields(cls)), "fibered")
+                   if key not in d]
         if missing:
             raise ValueError(f"instance lacks {', '.join(missing)}")
         kinds = {"space": str, "rq": (list, type(None)), "torus_type": (list, type(None)),
-                 "monodromy": (str, type(None))}
-        wrong = [key for key, kind in kinds.items() if not isinstance(d[key], kind)]
+                 "monodromy": (str, type(None)), "k": (int, type(None)),
+                 "core_index": int, "order_s": int, "grid_index": int, "fibered": bool}
+        # a bool is an int to isinstance, but only "fibered" may be one
+        wrong = [key for key, kind in kinds.items() if not isinstance(d[key], kind)
+                 or isinstance(d[key], bool) and kind is not bool]
         if wrong:
             raise ValueError(f"instance has malformed {', '.join(wrong)}")
+        family = FamilyId(d["family"])
+        surgery = link_from_obj(d["surgery"])
+        monodromy = MappingWord.parse(d["monodromy"]) if d["monodromy"] else None
+        wrong = [key for key, ok in (
+            ("k", (d["k"] is None) == (family is FamilyId.VI)),
+            ("core_index", 0 <= d["core_index"] < len(surgery.coefficients)),
+            ("fibered", d["fibered"] == (monodromy is not None))) if not ok]
+        if wrong:
+            raise ValueError(f"instance has inconsistent {', '.join(wrong)}")
         return cls(
-            family=FamilyId(d["family"]),
+            family=family,
             k=d["k"],
             rq=tuple(d["rq"]) if d["rq"] is not None else None,
             space=LensSpace.parse(d["space"]),
-            surgery=link_from_obj(d["surgery"]),
+            surgery=surgery,
             core_index=d["core_index"],
             order_s=d["order_s"],
-            fibered=d["fibered"],
-            monodromy=MappingWord.parse(d["monodromy"]) if d["monodromy"] else None,
+            monodromy=monodromy,
             grid_index=d["grid_index"],
             torus_type=tuple(d["torus_type"]) if d["torus_type"] else None,
         )
@@ -179,7 +189,7 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
             surgery=unknot(Slope.make(-r, q)),
             core_index=0,
             order_s=abs(r),
-            fibered=False, monodromy=None,
+            monodromy=None,
             grid_index=1, torus_type=None)
     if rq is not None or type(k) is not int or k == 0:
         raise ValueError(f"family {family.value} takes a nonzero integer k")
@@ -188,11 +198,10 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
     return FamilyInstance(
         family=family, k=k, rq=None,
         space=family_space(family, k),
-        surgery=whitehead(_ALPHA[family], Slope.make(form.beta * k + 1, k)),
+        surgery=whitehead(Slope(form.alpha, 1), Slope.make(form.beta * k + 1, k)),
         core_index=form.core,
         order_s=abs(_linear(form.s, k)),
-        fibered=fibered,
-        monodromy=_WORDS[family][k > 0] if fibered else None,
+        monodromy=MappingWord((("x", form.twists[k > 0]), ("y", 1))) if fibered else None,
         grid_index=abs(_linear(form.grid, k)),
         torus_type=form.torus if not form.sporadic or k == 1 else None)
 
@@ -328,10 +337,10 @@ def _check_linking_form(inst):
         return False, f"core slope {slope} does not divide |H1| = {p}"
     c = pow(b, -1, abs(a))
     got = -b * c * c * (p // a) % p
-    n2, q = inst.grid_index ** 2, inst.space.q
-    want = (n2 * q % p, n2 * pow(q, -1, p) % p)
-    ok = got in want or -got % p in want
-    return ok, f"p*lk(K,K) = {got} mod {p}, expected +-{want[0]} or +-{want[1]}"
+    n2 = inst.grid_index ** 2
+    want = [n2 * x % p for x in q_orbit(p, inst.space.q)]
+    ok = got in want
+    return ok, f"p*lk(K,K) = {got} mod {p}, expected +-{want[0]} or +-{want[2]}"
 
 
 def _check_torus_type(inst):

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .lenspaces import q_orbit
+
 
 @dataclass(frozen=True)
 class Grid1Knot:
@@ -90,8 +92,7 @@ def find_torus_grid_witness(r, q, da, db):
     diagram.  Returns (qdot, sequence) for the first success, else None.
     """
     _check_grid(r, q, da, db)
-    qinv = pow(q, -1, r)
-    for qdot in (q % r, (r - q) % r, qinv, (r - qinv) % r):
+    for qdot in q_orbit(r, q):
         seq = torus_knot_sequence(r, qdot, da, db)
         if seq is not None:
             return qdot, seq

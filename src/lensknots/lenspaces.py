@@ -68,9 +68,14 @@ def normalize(p: int, q: int) -> LensSpace:
     p = abs(p)
     if p <= 1:
         return LensSpace(p, 1)
-    q = q % p
+    return LensSpace(p, min(q_orbit(p, q)))
+
+
+def q_orbit(p: int, q: int) -> tuple:
+    """(q, -q, q^{-1}, -q^{-1}) mod p, for p >= 2 and gcd(p,q) = 1: the q
+    of every lens space homeomorphic to L(p,q), in that order."""
     qinv = pow(q, -1, p)
-    return LensSpace(p, min(q, p - q, qinv, p - qinv))
+    return q % p, -q % p, qinv, -qinv % p
 
 
 def is_homeomorphic(a: LensSpace, b: LensSpace) -> bool:

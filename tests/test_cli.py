@@ -405,10 +405,28 @@ def test_bad_input_exits_2_under_python_O(tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+def _from_dict_code(member, change):
+    """Code feeding from_dict the dict of an instantiated member, changed."""
+    return ("from lensknots.families import FamilyInstance, instantiate; "
+            f"FamilyInstance.from_dict({{**instantiate({member}).to_dict(), {change}}})")
+
+
 LIBRARY_VALIDATIONS = {
     "from_dict": "from lensknots.families import FamilyInstance, instantiate; "
                  "FamilyInstance.from_dict({**instantiate('I', 3).to_dict(), "
                  "'schema_version': 7})",
+    "from_dict-string-k": _from_dict_code("'I', 3", "'k': 'x'"),
+    "from_dict-bool-k": _from_dict_code("'I', 3", "'k': True"),
+    "from_dict-vi-k": _from_dict_code("'VI', rq=(7, 2)", "'k': 3"),
+    "from_dict-core-index": _from_dict_code("'I', 3", "'core_index': 5"),
+    "from_dict-order-s": _from_dict_code("'I', 3", "'order_s': '2'"),
+    "from_dict-grid-index": _from_dict_code("'I', 3", "'grid_index': '2'"),
+    "from_dict-fibered-word": _from_dict_code("'I', 3", "'fibered': False"),
+    "from_dict-fibered-no-word": _from_dict_code("'I', 3", "'monodromy': None"),
+    "from_dict-int-fibered": _from_dict_code("'I', 3", "'fibered': 1"),
+    "from_dict-missing-fibered": "from lensknots.families import FamilyInstance, "
+                                 "instantiate; d = instantiate('I', 3).to_dict(); "
+                                 "d.pop('fibered'); FamilyInstance.from_dict(d)",
     "from_dict-missing-key": "from lensknots.families import FamilyInstance; "
                              "FamilyInstance.from_dict({'schema_version': 1})",
     "from_dict-rq": "from lensknots.families import FamilyInstance, instantiate; "
@@ -451,6 +469,15 @@ def test_library_validation_under_python_O(code):
     proc = python_O("-c", code)
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1].startswith("ValueError:"), proc.stderr
+
+
+def test_verify_under_python_O(capsys):
+    """The main workload gives the same stdout with asserts stripped."""
+    argv = ["verify", "--families", "all", "--k-range", "-30..30"]
+    proc = python_O("-m", "lensknots", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert run(argv) == 0
+    assert proc.stdout == out_of(capsys)[0]
 
 
 def test_mcg_identity(capsys):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import pytest
@@ -30,6 +31,8 @@ def test_instantiate_examples():
 
 
 def test_fibered_only_at_unit_k_for_iv_v():
+    # fibered is derived from the monodromy, not stored
+    assert "fibered" not in {f.name for f in dataclasses.fields(FamilyInstance)}
     for fam, word_minus, word_plus in (("IV", "x^4 y", "x^2 y"),
                                        ("V", "x^5 y", "x^3 y")):
         assert str(instantiate(fam, -1).monodromy) == word_minus
@@ -191,9 +194,24 @@ def test_from_dict_rejects_malformed_instances():
     d = instantiate("VI", rq=(7, 2)).to_dict()
     for bad in ([], {"schema_version": 1}, {**d, "rq": 7}, {**d, "rq": "72"},
                 {**d, "torus_type": 3}, {**d, "monodromy": 5}, {**d, "space": None},
-                {key: v for key, v in d.items() if key != "grid_index"}):
+                {key: v for key, v in d.items() if key != "grid_index"},
+                {**d, "k": 3}, {**d, "fibered": True}):
         with pytest.raises(ValueError):
             FamilyInstance.from_dict(bad)
+    # every scalar field of a member of I-V, and fibered against its word
+    d = instantiate("I", 3).to_dict()
+    for key, values in (("k", ("x", True, None, 3.0)),
+                        ("core_index", (5, 2, -1, True, "1")),
+                        ("order_s", ("17", True, None)),
+                        ("grid_index", ("2", False, 2.0)),
+                        ("fibered", (False, 1, None)),
+                        ("monodromy", (None,))):
+        for value in values:
+            with pytest.raises(ValueError):
+                FamilyInstance.from_dict({**d, key: value})
+    d.pop("fibered")
+    with pytest.raises(ValueError):
+        FamilyInstance.from_dict(d)
 
 
 def test_filling_table_contents():
@@ -238,30 +256,51 @@ def test_linking_form_edge_inputs():
         assert not check.passed and check.detail.startswith(named), check
 
 
+# the check that must catch a mutation of each FamilyForm field
+GUARDS = {"alpha": "homology", "beta": "homology", "p": "homology", "q": "linking_form",
+          "core": "core_order", "s": "core_order", "grid": "grid", "torus": "grid",
+          "twists": "fibration", "sporadic": "fibration"}
+FILLING = ("alpha", "beta", "p", "q")
+
+
 def _mutants():
-    """Every +-1 mutation of a filling's p or q entry, applied to each family
-    sharing that filling, and of each family's grid entry."""
+    """Every single-field mutation of _FORMS: +-1 on an int or on one entry
+    of a pair, and a flip of core or sporadic.  A filling field (alpha,
+    beta, p, q) is mutated in every family sharing the filling, any other
+    field in one family."""
     shared = {}
     for fam, form in families._FORMS.items():
-        shared.setdefault((form.alpha, form.beta, form.p, form.q), []).append(fam)
-    out = [(tuple(fams), field) for fams in shared.values() for field in ("p", "q")]
-    out += [((fam,), "grid") for fam in families._FORMS]
-    return [pytest.param(fams, field, i, d,
-                         id=f"{'+'.join(f.value for f in fams)}.{field}[{i}]{d:+d}")
-            for fams, field in out for i in (0, 1) for d in (1, -1)]
+        shared.setdefault(tuple(getattr(form, f) for f in FILLING), []).append(fam)
+    cases = []
+    for field in (f.name for f in dataclasses.fields(families.FamilyForm)):
+        groups = shared.values() if field in FILLING else [[f] for f in families._FORMS]
+        for fams in groups:
+            name = "+".join(f.value for f in fams) + "." + field
+            value = getattr(families._FORMS[fams[0]], field)
+            if field in ("core", "sporadic"):
+                flipped = (not value) if field == "sporadic" else 1 - value
+                cases.append((fams, field, flipped, f"{name}={flipped}"))
+            elif isinstance(value, int):
+                cases += [(fams, field, value + d, f"{name}{d:+d}") for d in (1, -1)]
+            else:
+                cases += [(fams, field, value[:i] + (value[i] + d,) + value[i + 1:],
+                           f"{name}[{i}]{d:+d}") for i in (0, 1) for d in (1, -1)]
+    blind = pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: fibration has nothing to compare for a member marked "
+        "non-fibered, and no check tests that a member of I-III is fibered"))
+    return [pytest.param(fams, field, value, id=name,
+                         marks=blind if field == "sporadic" and value else ())
+            for fams, field, value, name in cases]
 
 
-@pytest.mark.parametrize("fams, field, i, d", _mutants())
-def test_verify_catches_every_closed_form_mutant(monkeypatch, fams, field, i, d):
-    """verify over k in -20..20 fails on the mutant: a wrong p fails
-    homology, a wrong q linking_form (or, where p and q share a factor at
-    every k, instantiate), a wrong grid index grid."""
+@pytest.mark.parametrize("fams, field, value", _mutants())
+def test_verify_catches_every_closed_form_mutant(monkeypatch, fams, field, value):
+    """verify over k in -20..20 fails on the mutant, in the check GUARDS
+    names for its field; a wrong q where p and q share a factor at every k
+    fails in instantiate instead."""
     for fam in fams:
-        form = families._FORMS[fam]
-        entries = list(getattr(form, field))
-        entries[i] += d
         monkeypatch.setitem(families._FORMS, fam,
-                            dataclasses.replace(form, **{field: tuple(entries)}))
+                            dataclasses.replace(families._FORMS[fam], **{field: value}))
     caught, built = set(), False
     for fam in fams:
         for k in [k for k in range(-20, 21) if k]:
@@ -272,8 +311,13 @@ def test_verify_catches_every_closed_form_mutant(monkeypatch, fams, field, i, d)
                 continue
             built = True
             caught |= {c.name for c in verify(inst).checks if not c.passed}
-    guard = {"p": "homology", "q": "linking_form", "grid": "grid"}[field]
-    assert (guard in caught) if built else (caught == {"instantiate"}), caught
+    assert (GUARDS[field] in caught) if built else (caught == {"instantiate"}), caught
+
+
+def test_every_closed_form_field_is_mutated():
+    counts = collections.Counter(case.values[1] for case in _mutants())
+    assert counts == {"alpha": 6, "beta": 6, "p": 12, "q": 12, "core": 5, "s": 20,
+                      "grid": 20, "torus": 20, "twists": 20, "sporadic": 5}
 
 
 def test_gof_fillings():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from lensknots.lenspaces import (INFINITY, LensSpace, Slope,
                                  from_continued_fraction, is_homeomorphic,
-                                 normalize, slope_distance)
+                                 normalize, q_orbit, slope_distance)
 
 
 def test_normalize_examples():
@@ -85,6 +85,19 @@ def test_normalize_orbit_stable(pq):
         qinv = pow(q, -1, abs(p))
         assert normalize(p, qinv) == n
         assert normalize(p, -qinv) == n
+
+
+@given(st.tuples(st.integers(2, 500), st.integers(-1000, 1000)).filter(
+    lambda t: math.gcd(*t) == 1))
+def test_q_orbit(pq):
+    """q_orbit is (q, -q, q^-1, -q^-1) mod p, and normalize takes its min."""
+    p, q = pq
+    orbit = q_orbit(p, q)
+    assert all(0 <= x < p for x in orbit)
+    assert [x % p for x in (orbit[0] - q, orbit[1] + q, orbit[2] * q - 1,
+                            orbit[3] * q + 1)] == [0, 0, 0, 0]
+    assert all(normalize(p, x) == normalize(p, q) for x in orbit)
+    assert min(orbit) == normalize(p, q).q
 
 
 def test_slope_canonical_forms():
