@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from math import gcd, lcm
 
 from .gridknots import find_torus_grid_witness, grid1_order
 from .lenspaces import LensSpace, Slope, normalize, q_orbit
 from .mcg import MappingWord, bundle_h1
-from .surgery import (FramedLink, core_order, h1, link_from_obj, link_to_obj,
-                      unknot, whitehead)
+from .surgery import FramedLink, core_order, h1, link_to_obj, unknot, whitehead
 
 
 class FamilyId(enum.Enum):
@@ -91,7 +90,19 @@ def _linear(ab, k):
 
 
 def _as_family(f) -> FamilyId:
-    return f if isinstance(f, FamilyId) else FamilyId(str(f))
+    # a non-string fails by its type's name, so no repr of it is built
+    return f if isinstance(f, FamilyId) else FamilyId(
+        f if isinstance(f, str) else type(f).__name__)
+
+
+def _form(family, k) -> FamilyForm:
+    """The closed forms of a knotted family, once k is a nonzero integer."""
+    family = _as_family(family)
+    form = _FORMS.get(family)
+    if form is None or type(k) is not int or k == 0:
+        raise ValueError(f"family {family.value} has no member at this k: "
+                         "families I-V take a nonzero integer k")
+    return form
 
 
 @dataclass(frozen=True)
@@ -129,58 +140,43 @@ class FamilyInstance:
 
     @classmethod
     def from_dict(cls, d) -> "FamilyInstance":
+        """The member a dict written by to_dict describes, rebuilt by
+        instantiate from its family and parameter; any other dict raises
+        ValueError."""
         if not isinstance(d, dict):
             raise ValueError("an instance is one JSON object")
         if d.get("schema_version") != 1:
-            raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-        missing = [key for key in (*(f.name for f in fields(cls)), "fibered")
-                   if key not in d]
-        if missing:
-            raise ValueError(f"instance lacks {', '.join(missing)}")
-        kinds = {"space": str, "rq": (list, type(None)), "torus_type": (list, type(None)),
-                 "monodromy": (str, type(None)), "k": (int, type(None)),
-                 "core_index": int, "order_s": int, "grid_index": int, "fibered": bool}
-        # a bool is an int to isinstance, but only "fibered" may be one
-        wrong = [key for key, kind in kinds.items() if not isinstance(d[key], kind)
-                 or isinstance(d[key], bool) and kind is not bool]
-        if wrong:
-            raise ValueError(f"instance has malformed {', '.join(wrong)}")
-        family = FamilyId(d["family"])
-        surgery = link_from_obj(d["surgery"])
-        monodromy = MappingWord.parse(d["monodromy"]) if d["monodromy"] else None
-        wrong = [key for key, ok in (
-            ("k", (d["k"] is None) == (family is FamilyId.VI)),
-            ("core_index", 0 <= d["core_index"] < len(surgery.coefficients)),
-            ("fibered", d["fibered"] == (monodromy is not None))) if not ok]
-        if wrong:
-            raise ValueError(f"instance has inconsistent {', '.join(wrong)}")
-        return cls(
-            family=family,
-            k=d["k"],
-            rq=tuple(d["rq"]) if d["rq"] is not None else None,
-            space=LensSpace.parse(d["space"]),
-            surgery=surgery,
-            core_index=d["core_index"],
-            order_s=d["order_s"],
-            monodromy=monodromy,
-            grid_index=d["grid_index"],
-            torus_type=tuple(d["torus_type"]) if d["torus_type"] else None,
-        )
+            raise ValueError("unsupported schema_version; this reader takes 1")
+        inst = instantiate(d.get("family"), k=d.get("k"), rq=d.get("rq"))
+        if not _same(dict(d), inst.to_dict()):
+            raise ValueError(f"instance is not the dict of {_label(inst)}")
+        return inst
+
+
+def _same(a, b):
+    """a == b with equal types at every depth, so True != 1 and 2.0 != 2.
+    It recurses only where b does, so a deeply nested a costs one step."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in b)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def instantiate(family, k=None, rq=None) -> FamilyInstance:
     """Build the family member at a parameter from the closed forms.
 
-    Families I-V take a nonzero integer k; family VI takes rq = (r, q)
-    with gcd(r,q) = 1 and |r| != 1 (r = 0 allowed, giving S1xS2).
+    Families I-V take a nonzero integer k; family VI takes rq = (r, q), a
+    tuple or list, with gcd(r,q) = 1 and |r| != 1 (r = 0 allowed, giving
+    S1xS2).
     """
     family = _as_family(family)
     if family is FamilyId.VI:
-        if rq is None or k is not None:
-            raise ValueError("family VI takes rq=(r,q), not k")
+        if k is not None or type(rq) not in (tuple, list) or [*map(type, rq)] != [int, int]:
+            raise ValueError("family VI takes rq = (r, q), a pair of integers, not k")
         r, q = rq
-        if type(r) is not int or type(q) is not int:
-            raise ValueError(f"family VI needs integers (r,q), got {rq}")
         if gcd(r, q) != 1 or abs(r) == 1:
             raise ValueError(f"family VI needs coprime (r,q) with |r| != 1, got {rq}")
         return FamilyInstance(
@@ -191,9 +187,9 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
             order_s=abs(r),
             monodromy=None,
             grid_index=1, torus_type=None)
-    if rq is not None or type(k) is not int or k == 0:
-        raise ValueError(f"family {family.value} takes a nonzero integer k")
-    form = _FORMS[family]
+    if rq is not None:
+        raise ValueError(f"family {family.value} takes k, not rq")
+    form = _form(family, k)
     fibered = not form.sporadic or abs(k) == 1
     return FamilyInstance(
         family=family, k=k, rq=None,
@@ -404,7 +400,7 @@ def torus_knot_types():
 
 def family_space(family, k) -> LensSpace:
     """The (normalized) lens space of a knotted family at parameter k."""
-    form = _FORMS[_as_family(family)]
+    form = _form(family, k)
     return normalize(_linear(form.p, k), _linear(form.q, k))
 
 
@@ -439,13 +435,14 @@ def gof_filling(family) -> LensSpace:
     x^n y, and its punctured-torus bundle is the Whitehead exterior
     W(-n, .).  Filling the second component trivially (slope infinity)
     erases it - both components of W are unknots - leaving -n surgery on
-    the unknot, the lens space L(n,1).  The homology of the filled link is
-    checked here before returning.
+    the unknot, the lens space L(n,1).  The space is read off the homology
+    of the filled link, which must be cyclic.
     """
-    n = _FORMS[_as_family(family)].twists[0]
+    n = _form(family, -1).twists[0]
     group = h1(whitehead(Slope.make(-n, 1), Slope.make(1, 0)))
-    assert group.is_cyclic and group.order() == n
-    return normalize(n, 1)
+    if not group.is_cyclic:
+        raise ValueError(f"H1 of W(-{n}, inf) is {group}, not cyclic")
+    return normalize(group.order(), 1)
 
 
 def _fibration_table():

@@ -129,11 +129,6 @@ class ArcSystemConfig:
             return None
         return "amber" if self.corner_side(g) == 0 else "blue"
 
-    def edges(self):
-        return [(letter, j)
-                for letter, n in zip(BUNDLE_ORDER, self.counts)
-                for j in range(n)]
-
     def canonical(self) -> "ArcSystemConfig":
         """Representative with multiplicities descending and offset 0.
 

@@ -32,8 +32,6 @@ def _coerce_slope(x):
         return x
     if isinstance(x, str):
         return Slope.parse(x)
-    if isinstance(x, tuple):
-        return Slope.make(*x)
     return Slope.from_rational(x)
 
 

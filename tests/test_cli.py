@@ -435,6 +435,16 @@ LIBRARY_VALIDATIONS = {
     "from_dict-torus-type": "from lensknots.families import FamilyInstance, instantiate; "
                             "FamilyInstance.from_dict({**instantiate('I', 3).to_dict(), "
                             "'torus_type': 3})",
+    "from_dict-rq-non-member": _from_dict_code("'VI', rq=(7, 2)", "'rq': [5, 1]"),
+    "from_dict-extra-key": _from_dict_code("'I', 3", "'extra': None"),
+    "non-pair-rq": "from lensknots.families import instantiate; instantiate('VI', rq=7)",
+    "gof_filling-VI": "from lensknots.families import gof_filling; gof_filling('VI')",
+    "family_space-VI": "from lensknots.families import family_space; family_space('VI', 3)",
+    "family_space-zero-k": "from lensknots.families import family_space; family_space('I', 0)",
+    "family_space-bool-k": "from lensknots.families import family_space; "
+                           "family_space('I', True)",
+    "family_space-float-k": "from lensknots.families import family_space; "
+                            "family_space('I', 2.5)",
     "coincidence_scan": "from lensknots.families import coincidence_scan; "
                         "coincidence_scan(0)",
     "torus_knot_sequence": "from lensknots.gridknots import torus_knot_sequence; "
@@ -446,6 +456,7 @@ LIBRARY_VALIDATIONS = {
     "bool-linking": "from lensknots.surgery import FramedLink; "
                     "FramedLink.make([[0, True], [True, 0]], ['1', '2'])",
     "bool-slope": "from lensknots.surgery import whitehead; whitehead(True, '-3')",
+    "tuple-slope": "from lensknots.surgery import whitehead; whitehead((1, 2), '-3')",
     "list-linking": "from lensknots.surgery import FramedLink; FramedLink([[0]], (None,))",
     "list-syllables": "from lensknots.mcg import MappingWord; MappingWord([('x', 1)])",
     "bool-k": "from lensknots.families import instantiate; instantiate('I', True)",

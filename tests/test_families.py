@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 
 import pytest
 
@@ -174,10 +175,15 @@ def test_report_shape():
 
 
 def test_round_trip():
-    for inst in (instantiate("I", 3), instantiate("IV", -1),
-                 instantiate("V", 7), instantiate("VI", rq=(9, 2)),
-                 instantiate("VI", rq=(0, 1))):
-        assert FamilyInstance.from_dict(inst.to_dict()) == inst
+    """The dict to_dict writes reads back, also through JSON and with its
+    keys in another order."""
+    members = [*(instantiate(f, k) for f in ("I", "II", "III", "IV", "V")
+                 for k in (-1, 1, 7, 10**15, 1 - 10**15)),
+               *(instantiate("VI", rq=rq) for rq in ((7, 2), (-9, 2), (9, 2), (0, 1)))]
+    for inst in members:
+        d = inst.to_dict()
+        for copy in (d, json.loads(json.dumps(d)), dict(reversed(d.items()))):
+            assert FamilyInstance.from_dict(copy) == inst
 
 
 def test_from_dict_rejects_other_schema_versions():
@@ -212,6 +218,26 @@ def test_from_dict_rejects_malformed_instances():
     d.pop("fibered")
     with pytest.raises(ValueError):
         FamilyInstance.from_dict(d)
+    # from_dict takes exactly the dict of the member its family and
+    # parameter give: a well-formed non-member, an extra key, or a value no
+    # JSON reader makes raises ValueError as well
+    vi, i3 = instantiate("VI", rq=(7, 2)).to_dict(), instantiate("I", 3).to_dict()
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    cases = [{**vi, "rq": None}, {**vi, "rq": ["a", 2]}, {**vi, "rq": [5, 1]},
+             {**i3, "rq": [1, 2]},
+             # well-formed, but not the member's
+             {**i3, "order_s": i3["order_s"] + 1}, {**i3, "order_s": i3["order_s"] - 1},
+             {**i3, "grid_index": 3}, {**i3, "space": instantiate("I", 4).to_dict()["space"]},
+             {**i3, "torus_type": (2, 3)}, {**i3, "schema_version": True},
+             {**i3, "extra": None}]
+    for d in (vi, i3):
+        cases += [{**d, key: value} for key in (*d, "extra")
+                  for value in ({1, 2}, float("nan"), deep)]
+    for bad in cases:
+        with pytest.raises(ValueError):
+            FamilyInstance.from_dict(bad)
 
 
 def test_filling_table_contents():
