@@ -365,19 +365,6 @@ class FillingTableRow:
     p: object
     q: object
 
-    def space_for(self, inst: FamilyInstance):
-        """The lens space this row predicts for an instance, or None."""
-        if self.link == "unknot":
-            if inst.family is not FamilyId.VI:
-                return None
-            return normalize(*inst.rq)
-        if inst.family is FamilyId.VI:
-            return None
-        form = _FORMS[inst.family]
-        if (form.alpha, form.beta) != (self.alpha, self.beta):
-            return None
-        return normalize(_linear(self.p, inst.k), _linear(self.q, inst.k))
-
 
 def filling_table():
     """The distinct Whitehead fillings of the families, then the unknot's."""

@@ -78,13 +78,6 @@ class ArcSystemConfig:
     def num_slots(self):
         return self.s * self.t
 
-    def endpoint_word(self):
-        """Bundle letters in slot order, e.g. "A B C A B C" for (1,1,1)."""
-        half = [letter
-                for letter, n in zip(BUNDLE_ORDER, self.counts)
-                for _ in range(n)]
-        return " ".join(half + half)
-
     def _bundle(self, m):
         """(letter, n, b) of the bundle with an end at slot m: its n arcs
         start at slots b..b+n-1 and end at E+b..E+b+n-1."""
@@ -129,33 +122,14 @@ class ArcSystemConfig:
             return None
         return "amber" if self.corner_side(g) == 0 else "blue"
 
-    def canonical(self) -> "ArcSystemConfig":
-        """Representative with multiplicities descending and offset 0.
 
-        Permuting the bundles realizes a torus homeomorphism and changing
-        the offset renumbers the knot points, so these moves preserve the
-        region structure.
-        """
-        a, b, c = sorted(self.counts, reverse=True)
-        return ArcSystemConfig(self.s, self.t, a, b, c, 0)
-
-
-def parity_check(cfg: ArcSystemConfig) -> bool:
+def parity_check_closed_form(cfg: ArcSystemConfig) -> bool:
     """Whether every arc joins knot-point labels of opposite parity.
 
     This is the parity rule for intersection graphs of a knot meeting the
     torus coherently; configurations failing it cannot be realized and
-    their corner colours are inconsistent.
-    """
-    return all(cfg.label(m) % 2 != cfg.label(cfg.partner(m)) % 2
-               for m in range(cfg.num_slots))
-
-
-def parity_check_closed_form(cfg: ArcSystemConfig) -> bool:
-    """Closed form of the parity rule: E + n_X even for every nonempty X.
-
-    E = s*t/2 is the edge count; equivalently all nonempty multiplicities
-    have the same parity as E.  Agrees with the per-edge check because
+    their corner colours are inconsistent.  In closed form it says E + n_X
+    is even for every nonempty bundle X, with E = s*t/2 the edge count:
     nested pairing puts the ends of bundle-X arc j at slots whose sum is
     E + n_X - 1, a constant, and for even t opposite label parity is
     exactly opposite slot parity.

@@ -15,33 +15,9 @@ is the (n*q mod r)-th, and the order is the same either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .lenspaces import q_orbit
-
-
-@dataclass(frozen=True)
-class Grid1Knot:
-    """The n-th grid number one knot in L(r,q)."""
-
-    r: int
-    q: int
-    n: int
-
-    def __post_init__(self):
-        if self.r < 2 or gcd(self.r, self.q) != 1:
-            raise ValueError(f"L({self.r},{self.q}) needs r >= 2 and gcd(r,q) = 1")
-        if not 1 <= self.n <= self.r - 1:
-            raise ValueError(f"n must lie in 1..{self.r - 1}, got {self.n}")
-
-    @property
-    def n_along_other_curve(self):
-        return self.n * self.q % self.r
-
-    @property
-    def homology_order(self):
-        return grid1_order(self.n, self.r)
 
 
 def grid1_order(n, r):

@@ -7,8 +7,7 @@ The canonical form stores |p| together with the minimum of that orbit;
 p = 0 encodes S1xS2 and |p| = 1 encodes S3 (with q := 1 in both cases).
 
 Slopes on a torus boundary are reduced fractions p/q with (p,q) ~ (-p,-q),
-plus the infinite slope 1/0.  Continued fractions here are subtractive:
-[a1, a2, ..., an] stands for a1 - 1/(a2 - 1/(... - 1/an)).
+plus the infinite slope 1/0.
 """
 
 from __future__ import annotations
@@ -19,12 +18,14 @@ from math import gcd
 
 @dataclass(frozen=True)
 class LensSpace:
-    """L(p,q), not necessarily in canonical form; gcd(p,q) must be 1."""
+    """L(p,q), not necessarily in canonical form; p, q are ints with gcd 1."""
 
     p: int
     q: int
 
     def __post_init__(self):
+        if type(self.p) is not int or type(self.q) is not int:
+            raise ValueError(f"L({self.p!r},{self.q!r}): p and q must be ints")
         if gcd(self.p, self.q) != 1:
             raise ValueError(f"L({self.p},{self.q}): p and q must be coprime")
 
@@ -39,20 +40,6 @@ class LensSpace:
         if abs(self.p) == 1:
             return "S3"
         return f"L({self.p},{self.q})"
-
-    @classmethod
-    def parse(cls, text: str) -> "LensSpace":
-        """Parse "L(p,q)", "S3" or "S1xS2"."""
-        s = text.strip().replace(" ", "")
-        if s == "S3":
-            return cls(1, 1)
-        if s == "S1xS2":
-            return cls(0, 1)
-        if s.startswith("L(") and s.endswith(")"):
-            body = s[2:-1].split(",")
-            if len(body) == 2:
-                return cls(int(body[0]), int(body[1]))
-        raise ValueError(f"not a lens space: {text!r}")
 
 
 def normalize(p: int, q: int) -> LensSpace:
@@ -90,6 +77,8 @@ class Slope:
     q: int
 
     def __post_init__(self):
+        if type(self.p) is not int or type(self.q) is not int:
+            raise ValueError(f"slope {self.p!r}/{self.q!r}: p and q must be ints")
         if (self.p, self.q) == (0, 0):
             raise ValueError("slope 0/0 is indeterminate")
         if self.q < 0 or gcd(self.p, self.q) != 1 or (self.q == 0 and self.p != 1):
@@ -141,26 +130,3 @@ class Slope:
 
 
 INFINITY = Slope(1, 0)
-
-
-def slope_distance(a: Slope, b: Slope) -> int:
-    """Minimal geometric intersection number |p_a q_b - p_b q_a| of two slopes."""
-    return abs(a.p * b.q - b.p * a.q)
-
-
-def from_continued_fraction(coeffs) -> Slope:
-    """Evaluate the subtractive continued fraction a1 - 1/(a2 - 1/(...)).
-
-    Coefficients are ints or Fractions (else ValueError), as for
-    `Slope.from_rational`.  A zero intermediate value makes the next stage
-    infinite; the infinite slope propagates exactly (a - 1/inf is a, and
-    a - 1/0 is inf), so no division error can occur.
-    """
-    coeffs = [Slope.from_rational(a) for a in coeffs]
-    if not coeffs:
-        raise ValueError("empty continued fraction")
-    value = coeffs[-1]
-    for a in reversed(coeffs[:-1]):
-        # a - 1/(vp/vq) = (a.p*vp - a.q*vq) / (a.q*vp)
-        value = Slope.make(a.p * value.p - a.q * value.q, a.q * value.p)
-    return value

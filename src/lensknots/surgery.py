@@ -56,10 +56,6 @@ class AbelianGroup:
         return math.prod(self.torsion)
 
     @property
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion
-
-    @property
     def is_cyclic(self):
         if self.rank == 0:
             return len(self.torsion) <= 1
@@ -152,17 +148,6 @@ def chain3(a=UNFILLED, b=UNFILLED, c=UNFILLED) -> FramedLink:
     """Three components, each pair linking once positively."""
     return FramedLink.make(((0, 1, 1), (1, 0, 1), (1, 1, 0)), (a, b, c),
                            name="chain3")
-
-
-_BUILTINS = {"unknot": unknot, "whitehead": whitehead, "chain3": chain3}
-
-
-def builtin(name: str) -> FramedLink:
-    """The named builtin link (unknot, whitehead, chain3), all unfilled."""
-    try:
-        return _BUILTINS[name.lower()]()
-    except KeyError:
-        raise ValueError(f"unknown builtin link {name!r}") from None
 
 
 def h1_presentation(link: FramedLink):

@@ -457,6 +457,9 @@ LIBRARY_VALIDATIONS = {
                     "FramedLink.make([[0, True], [True, 0]], ['1', '2'])",
     "bool-slope": "from lensknots.surgery import whitehead; whitehead(True, '-3')",
     "tuple-slope": "from lensknots.surgery import whitehead; whitehead((1, 2), '-3')",
+    "bool-Slope": "from lensknots.lenspaces import Slope; Slope(True, 1)",
+    "float-Slope": "from lensknots.lenspaces import Slope; Slope(1.5, 1)",
+    "bool-LensSpace": "from lensknots.lenspaces import LensSpace; LensSpace(2, True)",
     "list-linking": "from lensknots.surgery import FramedLink; FramedLink([[0]], (None,))",
     "list-syllables": "from lensknots.mcg import MappingWord; MappingWord([('x', 1)])",
     "bool-k": "from lensknots.families import instantiate; instantiate('I', True)",

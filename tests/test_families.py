@@ -244,12 +244,16 @@ def test_filling_table_contents():
     rows = filling_table()
     assert len(rows) == 4
     assert {r.link for r in rows} == {"whitehead", "unknot"}
-    # the whitehead rows reproduce the family spaces
+    # the whitehead row whose surgery (alpha, beta + 1/k) an instance uses
+    # predicts its space from the row's linear p = a*k + b and q = c*k + d
     for fam in ("I", "II", "III"):
         for k in (-4, 1, 5):
             inst = instantiate(fam, k)
-            predicted = [row.space_for(inst) for row in rows]
-            assert inst.space in [normalize(p.p, p.q) for p in predicted if p]
+            (row,) = [row for row in rows if row.link == "whitehead"
+                      and inst.surgery.coefficients == (
+                          Slope(row.alpha, 1), Slope.make(row.beta * k + 1, k))]
+            (a, b), (c, d) = row.p, row.q
+            assert inst.space == normalize(a * k + b, c * k + d), (fam, k)
 
 
 def linking_form(inst):

@@ -10,10 +10,17 @@ from lensknots import fatgraph
 from lensknots.cli import run
 from lensknots.fatgraph import (BUNDLE_ORDER, CLASSES, ArcSystemConfig, Circle,
                                 FaceReport, Region, ScharlemannCycle,
-                                enumerate_configs, faces, parity_check,
+                                enumerate_configs, faces,
                                 parity_check_closed_form, scharlemann_cycles)
 
 DATA = pathlib.Path(__file__).parent / "data" / "figure_faces.json"
+
+
+def parity_check(cfg):
+    """The parity rule arc by arc: every arc joins knot-point labels of
+    opposite parity.  The oracle for parity_check_closed_form."""
+    return all(cfg.label(m) % 2 != cfg.label(cfg.partner(m)) % 2
+               for m in range(cfg.num_slots))
 
 
 def load_cases():
@@ -117,10 +124,6 @@ def test_offset_swaps_colors_at_t2():
 def test_build_and_validation():
     cfg = ArcSystemConfig(3, 2, 1, 1, 1)
     assert cfg.num_edges == 3 and cfg.num_slots == 6
-    assert cfg.endpoint_word() == "A B C A B C"
-    assert cfg.canonical() == cfg
-    assert (ArcSystemConfig(4, 2, 1, 3, 0, offset=1).canonical()
-            == ArcSystemConfig(4, 2, 3, 1, 0))
     with pytest.raises(ValueError):
         ArcSystemConfig(3, 2, 1, 1, 0)  # 2 arcs but s*t/2 = 3
     with pytest.raises(ValueError):
@@ -173,7 +176,9 @@ def test_enumeration():
     for cfg in enumerate_configs(2, 3) + enumerate_configs(4, 3):
         assert parity_check(cfg)
         assert max(cfg.counts) <= 3
-        assert cfg == cfg.canonical()
+        # canonical: multiplicities descending and offset 0
+        assert list(cfg.counts) == sorted(cfg.counts, reverse=True)
+        assert cfg.offset == 0
     # the loops emit configurations already in (s, counts) order
     for t in (2, 4, 6):
         for require_max in (False, True):

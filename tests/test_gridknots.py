@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from lensknots.gridknots import (Grid1Knot, find_torus_grid_witness,
-                                 grid1_order, torus_knot_sequence)
+from lensknots.gridknots import (find_torus_grid_witness, grid1_order,
+                                 torus_knot_sequence)
 
 # The six closed-form sequence families of grid witnesses for the knotted
 # torus knot types.  Each entry: parameter -> (r, q, da, db, qdot, sequence);
@@ -64,26 +64,20 @@ def test_grid1_order():
 
 
 def test_grid1_knot_object():
-    knot = Grid1Knot(12, 5, 8)
-    assert knot.homology_order == 3
-    assert knot.n_along_other_curve == 4
-    # counting along the other curve preserves the homology order
-    assert grid1_order(knot.n_along_other_curve, 12) == 3
-    with pytest.raises(ValueError):
-        Grid1Knot(12, 4, 1)  # q not a unit
-    with pytest.raises(ValueError):
-        Grid1Knot(12, 5, 0)  # marking separation out of range
-    with pytest.raises(ValueError):
-        Grid1Knot(12, 5, 12)
+    """The 8th grid number one knot in L(12,5): read along the other curve it
+    is the (8*5 mod 12) = 4th, and both readings have order 3."""
+    r, q, n = 12, 5, 8
+    assert grid1_order(n, r) == 3
+    assert n * q % r == 4
+    assert grid1_order(n * q % r, r) == 3
 
 
 @given(st.integers(2, 60), st.integers(-60, 60), st.integers(1, 59))
 def test_other_curve_order_invariance(r, q, n):
+    """q is a unit mod r, so n*q mod r generates the same subgroup as n."""
     if math.gcd(r, q) != 1 or not 1 <= n <= r - 1:
         return
-    knot = Grid1Knot(r, q, n)
-    m = knot.n_along_other_curve
-    assert grid1_order(m, r) == knot.homology_order
+    assert grid1_order(n * q % r, r) == grid1_order(n, r)
 
 
 @given(st.integers(2, 40), st.integers(1, 39), st.integers(1, 5),

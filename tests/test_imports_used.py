@@ -1,10 +1,23 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used, and every public name has a
+reader outside the tests.
 
-Walks the syntax tree of every module in src/lensknots except
+Imports: walks the syntax tree of every module in src/lensknots except
 `__init__.py`, whose imports are the package's re-exports, and rejects an
 imported name (the bound name, so `a` in `import a.b` and `y` in
 `from x import z as y`) that no `Name` node of the module reads.
 `from __future__` imports are compiler directives and are skipped.
+
+Public names: every public top-level function and class of those modules,
+and every public method of a public class, must be read by a library
+module other than `__init__.py`, by `perfbench/*.py` or by
+`tests/test_acceptance.py`.  A read is a `Name` or `Attribute` node, or a
+component of a dotted string such as "fatgraph.ArcSystemConfig.slot_info",
+since the benchmark's tracer patches some methods by name.  A name that
+only its own unit test reaches is dead code and should go with its test.
+The check matches names, not definitions: a method is taken as read when
+any attribute of that name is read, so `LensSpace.parse` would pass on
+the strength of `MappingWord.parse` in `cli`, and a benchmark metric name
+such as "fatgraph.parity_check.calls" counts as a read of `parity_check`.
 """
 
 import ast
@@ -12,8 +25,17 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lensknots"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lensknots"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
+
+# public names kept with no reader above, each for a reason
+ALLOWED_UNREAD = {
+    "FamilyInstance.from_dict": "the documented reader of `family --json`",
+    "link_to_json": "writes the format that `homology --link` reads",
+}
 
 
 def unused_imports(tree):
@@ -30,8 +52,44 @@ def unused_imports(tree):
                   if name not in used)
 
 
+def public_defs(tree):
+    """Qualified names of the public top-level functions and classes, and
+    of the public methods of those classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            out.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                out.extend(f"{node.name}.{m.name}" for m in node.body
+                           if isinstance(m, defs) and not m.name.startswith("_"))
+    return out
+
+
+def names_read(tree):
+    """Names read as a `Name`, an `Attribute` or a dotted string component."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(c for c in node.value.split(".") if c.isidentifier())
+    return out
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def read_by_readers():
+    return set().union(*(names_read(parse(path)) for path in READERS))
+
+
 def test_modules_found():
     assert {"families.py", "surgery.py", "snf.py"} <= {m.name for m in MODULES}
+    assert {"run.py", "tracer.py", "test_acceptance.py"} <= {r.name for r in READERS}
 
 
 def test_unused_import_is_caught():
@@ -39,8 +97,33 @@ def test_unused_import_is_caught():
     assert unused_imports(tree) == [(1, "math"), (2, "z")]
 
 
+def test_unread_public_name_is_caught():
+    tree = ast.parse("def f(): pass\ndef _g(): pass\n"
+                     "class C:\n    def m(self): pass\n    def __str__(self): pass\n")
+    assert public_defs(tree) == ["f", "C", "C.m"]
+    reads = names_read(ast.parse("f()\nx.m\n'mod.C.other'\n'not a name'\n"))
+    assert {"f", "x", "m", "mod", "C", "other"} == reads
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_used(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = parse(path)
     hits = [f"{path.name}:{line} {name}" for line, name in unused_imports(tree)]
     assert hits == []
+
+
+def test_every_public_name_read():
+    read = read_by_readers()
+    unread = [f"{path.stem}.{name}" for path in MODULES
+              for name in public_defs(parse(path))
+              if name.split(".")[-1] not in read and name not in ALLOWED_UNREAD]
+    assert unread == []
+
+
+def test_allowlist_entries_are_defined_and_unread():
+    """An allowlist entry that gains a reader or loses its definition goes."""
+    read = read_by_readers()
+    defined = {name for path in MODULES for name in public_defs(parse(path))}
+    for name in ALLOWED_UNREAD:
+        assert name in defined, name
+        assert name.split(".")[-1] not in read, name
