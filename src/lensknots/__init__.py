@@ -12,23 +12,6 @@ Modules:
   fatgraph   essential arc configurations and their complementary faces
   families   the atlas itself, with an independent verification battery
   cli        the command line front end
+
+Names are imported from these modules; the package binds none.
 """
-
-from .families import (FamilyId, FamilyInstance, VerificationReport,
-                       coincidence_scan, family_space, filling_table,
-                       gof_filling, instantiate, torus_knot_types, verify)
-from .fatgraph import (ArcSystemConfig, Circle, FaceReport, Region,
-                       ScharlemannCycle, enumerate_configs, faces,
-                       parity_check_closed_form, scharlemann_cycles)
-from .gridknots import (find_torus_grid_witness, grid1_order,
-                        torus_knot_sequence)
-from .lenspaces import (INFINITY, LensSpace, Slope, is_homeomorphic,
-                        normalize, q_orbit)
-from .mcg import (IDENTITY, TWIST_X, TWIST_Y, MappingWord, NTClass,
-                  TorusMapClass, bundle_h1, classify, conjugacy_invariant,
-                  evaluate, lens_filling_word)
-from .surgery import (INFINITE, UNFILLED, AbelianGroup, FramedLink,
-                      blow_down, chain3, core_order, h1, h1_presentation,
-                      link_from_json, link_to_json, unknot, whitehead)
-
-__version__ = "0.1.0"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import gcd, lcm
 
 from .gridknots import find_torus_grid_witness, grid1_order
@@ -282,19 +283,21 @@ def _check_core_order(inst):
 def _check_fibration(inst):
     if not inst.fibered:
         return True, "not fibered; nothing to compare"
-    key = _fibration_key(inst)
-    groups = _FIBRATION_GROUPS.get(key)
-    exterior, bundle = groups if groups else _fibration_groups(*key)
+    exterior, bundle = _fibration_groups(inst.surgery.unfill(inst.core_index),
+                                         inst.monodromy)
     ok = exterior == bundle
     return ok, f"exterior h1 = {exterior}, bundle h1 = {bundle}"
 
 
-def _fibration_key(inst):
-    return inst.surgery.unfill(inst.core_index), inst.monodromy
-
-
+@lru_cache(maxsize=32)
 def _fibration_groups(exterior, monodromy):
-    """H1 of the knot exterior, and H1 of the bundle of the monodromy."""
+    """H1 of the knot exterior, and H1 of the bundle of the monodromy.
+
+    Both are pure functions of the hashable key, so a cached pair never goes
+    stale.  The atlas has seven keys: the members of I-III share their
+    exterior and monodromy at every k, and IV and V are fibered only at
+    k = +-1.  The bound caps memory for hand-made instances.
+    """
     return h1(exterior), bundle_h1(monodromy)
 
 
@@ -431,24 +434,3 @@ def gof_filling(family) -> LensSpace:
         raise ValueError(f"H1 of W(-{n}, inf) is {group}, not cyclic")
     return normalize(group.order(), 1)
 
-
-def _fibration_table():
-    """The fibration check's groups, keyed by (exterior, monodromy), for the
-    fibered members at k = -1 and k = +1.
-
-    Both groups depend only on the key, and every fibered member of I-V
-    has the key of one of these: the members of I-III share their
-    exterior W(alpha, .) and their monodromy at every k, and IV and V are
-    fibered only at k = +-1.  The ten members give seven keys, since the
-    I-III members at k = -1 and k = +1 coincide.
-    """
-    table = {}
-    for family in _FORMS:
-        for k in (-1, 1):
-            key = _fibration_key(instantiate(family, k))
-            table[key] = _fibration_groups(*key)
-    return table
-
-
-# built once at import and never changed after
-_FIBRATION_GROUPS = _fibration_table()

@@ -108,10 +108,6 @@ class ArcSystemConfig:
         _, n, b = self._bundle(m)
         return self.num_edges + 2 * b + n - 1 - m
 
-    def label(self, m):
-        """Knot-point label of slot m, in 1..t."""
-        return ((m + self.offset) % self.t) + 1
-
     def corner_side(self, g):
         """Which of the t knot segments the corner gap after slot g lies on."""
         return (g + self.offset) % self.t
@@ -171,13 +167,6 @@ class Region:
         if self.kind != "disk":
             raise ValueError(f"an {self.kind} has no polygon length")
         return self.circles[0].length
-
-    @property
-    def edges(self):
-        out = frozenset()
-        for c in self.circles:
-            out |= c.edges
-        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,7 +323,7 @@ def _label_pair(t, v):
     return frozenset({v + 1, (v + 1) % t + 1})
 
 
-def _disk_cycle(cfg, circle, color):
+def _disk_cycle(cfg, circle):
     """The Scharlemann cycle of a disk boundary whose corners all lie on
     one knot segment v, or None.
 
@@ -345,23 +334,18 @@ def _disk_cycle(cfg, circle, color):
     if len(sides) != 1:
         return None
     return ScharlemannCycle(circle.edges, circle.length,
-                            _label_pair(cfg.t, sides.pop()), color)
+                            _label_pair(cfg.t, sides.pop()), circle.color)
 
 
-def scharlemann_cycles(cfg) -> tuple:
+def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
     """Disk regions whose corners all lie on one segment of the knot.
 
     Such a disk has every corner at the same gap value mod t and every edge
     joining the two labels adjacent to that gap; it is the basic tool for
-    bounding the intersection number t.  Accepts a configuration or a
-    FaceReport; a configuration's cycles are read off its bigons in closed
-    form and its few traced circles, without building its faces.
+    bounding the intersection number t.  The cycles are read off the
+    configuration's bigons in closed form and its few traced circles,
+    without building its faces.
     """
-    if isinstance(cfg, FaceReport):
-        return tuple(c for c in (_disk_cycle(cfg.config, r.circles[0], r.color)
-                                 for r in cfg.disks) if c is not None)
-    if not isinstance(cfg, ArcSystemConfig):
-        raise ValueError(f"expected an ArcSystemConfig or a FaceReport, got {cfg!r}")
     steps, tail, _ = _outer_walk(cfg)
     t, e = cfg.t, cfg.num_edges
     half = t // 2
@@ -369,7 +353,7 @@ def scharlemann_cycles(cfg) -> tuple:
 
     def outer_cycle(circle):
         if not circle.is_essential:
-            cycle = _disk_cycle(cfg, circle, circle.color)
+            cycle = _disk_cycle(cfg, circle)
             if cycle is not None:
                 out.append(cycle)
 

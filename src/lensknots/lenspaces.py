@@ -50,6 +50,8 @@ def normalize(p: int, q: int) -> LensSpace:
     {q, -q, q^{-1}, -q^{-1}} mod |p|; for |p| <= 1 the space is S3 or S1xS2
     and q is set to 1.
     """
+    if type(p) is not int or type(q) is not int:
+        raise ValueError(f"L({p!r},{q!r}): p and q must be ints")
     if gcd(p, q) != 1:
         raise ValueError(f"L({p},{q}): p and q must be coprime")
     p = abs(p)
@@ -87,6 +89,8 @@ class Slope:
     @classmethod
     def make(cls, p, q) -> "Slope":
         """Reduce p/q to canonical form; (p,q) and (-p,-q) give the same slope."""
+        if type(p) is not int or type(q) is not int:
+            raise ValueError(f"slope {p!r}/{q!r}: p and q must be ints")
         if q == 0:
             if p == 0:
                 raise ValueError("slope 0/0 is indeterminate")

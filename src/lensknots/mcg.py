@@ -26,9 +26,6 @@ import re
 from dataclasses import dataclass
 from .surgery import AbelianGroup
 
-TWIST_X = ((1, 1), (0, 1))
-TWIST_Y = ((1, 0), (-1, 1))
-
 IDENTITY = ((1, 0), (0, 1))
 
 

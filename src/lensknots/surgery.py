@@ -75,7 +75,7 @@ class AbelianGroup:
         """Cokernel of the relation rows inside Z^ngens."""
         if any(len(r) != ngens for r in rows):
             raise ValueError(f"every relation row needs {ngens} entries")
-        diag = smith_normal_form(rows) if rows else []
+        diag = smith_normal_form(rows)
         return cls(ngens - len(diag), tuple(d for d in diag if d > 1))
 
 

@@ -460,6 +460,10 @@ LIBRARY_VALIDATIONS = {
     "bool-Slope": "from lensknots.lenspaces import Slope; Slope(True, 1)",
     "float-Slope": "from lensknots.lenspaces import Slope; Slope(1.5, 1)",
     "bool-LensSpace": "from lensknots.lenspaces import LensSpace; LensSpace(2, True)",
+    "float-Slope.make": "from lensknots.lenspaces import Slope; Slope.make(1.5, 1)",
+    "bool-Slope.make": "from lensknots.lenspaces import Slope; Slope.make(True, 2)",
+    "float-normalize": "from lensknots.lenspaces import normalize; normalize(7.0, 2)",
+    "bool-normalize": "from lensknots.lenspaces import normalize; normalize(2, True)",
     "list-linking": "from lensknots.surgery import FramedLink; FramedLink([[0]], (None,))",
     "list-syllables": "from lensknots.mcg import MappingWord; MappingWord([('x', 1)])",
     "bool-k": "from lensknots.families import instantiate; instantiate('I', True)",

@@ -1,6 +1,10 @@
 import collections
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,8 @@ from lensknots.families import (FamilyId, FamilyInstance, coincidence_scan,
                                 instantiate, torus_knot_types, verify)
 from lensknots.lenspaces import LensSpace, Slope, is_homeomorphic, normalize
 from lensknots.mcg import MappingWord
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def test_instantiate_examples():
@@ -103,8 +109,9 @@ def fibration_key(inst):
 
 
 def test_verify_runs_two_smith_forms(monkeypatch):
-    """One for the homology check and one for the core order: the fibration
-    groups come from the table, and |H1| from a determinant."""
+    """One for the homology check and one for the core order, since |H1|
+    comes from a determinant; the fibration groups cost two more for each
+    distinct key, once, and none on a second pass."""
     calls = []
     snf = surgery.smith_normal_form
 
@@ -113,30 +120,57 @@ def test_verify_runs_two_smith_forms(monkeypatch):
         return snf(rows)
 
     monkeypatch.setattr(surgery, "smith_normal_form", counted)
-    for fam in KNOTTED:
-        for k in [k for k in range(-20, 21) if k]:
-            calls.clear()
-            assert verify(instantiate(fam, k)).ok
-            assert len(calls) == 2, (fam, k, calls)
+    insts = [instantiate(fam, k) for fam in KNOTTED for k in range(-20, 21) if k]
+    keys = {fibration_key(inst) for inst in insts if inst.fibered}
+    assert len(insts) == 200 and len(keys) == 7
+    families._fibration_groups.cache_clear()
+    assert all(verify(inst).ok for inst in insts)
+    assert len(calls) == 2 * len(insts) + 2 * len(keys) == 414
+    for inst in insts:
+        calls.clear()
+        assert verify(inst).ok
+        assert len(calls) == 2, (inst.family, inst.k, calls)
 
 
 def test_fibration_table_keys():
+    """Verifying I-V at -50..50 on a cleared memo fills it with exactly the
+    seven keys of the fibered members at k = +-1."""
     members = [instantiate(fam, k) for fam in KNOTTED for k in (-1, 1)]
     assert all(inst.fibered for inst in members)
-    assert set(families._FIBRATION_GROUPS) == {fibration_key(m) for m in members}
-    for fam in KNOTTED:
-        for k in [k for k in range(-50, 51) if k]:
-            inst = instantiate(fam, k)
-            if inst.fibered:
-                assert fibration_key(inst) in families._FIBRATION_GROUPS, (fam, k)
+    atlas_keys = {fibration_key(m) for m in members}
+    families._fibration_groups.cache_clear()
+    insts = [instantiate(fam, k) for fam in KNOTTED for k in range(-50, 51) if k]
+    assert all(verify(inst).ok for inst in insts)
+    for inst in insts:
+        if inst.fibered:
+            assert fibration_key(inst) in atlas_keys, (inst.family, inst.k)
+    assert families._fibration_groups.cache_info().currsize == len(atlas_keys) == 7
 
 
 def test_fibration_table_matches_computed_groups(monkeypatch):
-    """A lookup and the computation it saves give the same check result."""
+    """A memo hit and the computation it saves give the same check result."""
     insts = [instantiate(fam, k) for fam in KNOTTED for k in (-3, -1, 1, 2)]
+    families._fibration_groups.cache_clear()
+    [families._check_fibration(inst) for inst in insts]
+    hits = families._fibration_groups.cache_info().hits
     looked_up = [families._check_fibration(inst) for inst in insts]
-    monkeypatch.setattr(families, "_FIBRATION_GROUPS", {})
+    fibered = sum(inst.fibered for inst in insts)
+    assert families._fibration_groups.cache_info().hits == hits + fibered > hits
+    compute = families._fibration_groups.__wrapped__
+    monkeypatch.setattr(families, "_fibration_groups", compute)
     assert [families._check_fibration(inst) for inst in insts] == looked_up
+
+
+def test_import_runs_no_atlas_code():
+    code = ("import lensknots.families as f; "
+            "print(f._fibration_groups.cache_info().currsize)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_verify_catches_corruption():

@@ -1,23 +1,26 @@
 """Every name a library module imports is used, and every public name has a
 reader outside the tests.
 
-Imports: walks the syntax tree of every module in src/lensknots except
-`__init__.py`, whose imports are the package's re-exports, and rejects an
-imported name (the bound name, so `a` in `import a.b` and `y` in
-`from x import z as y`) that no `Name` node of the module reads.
+Imports: walks the syntax tree of every module in src/lensknots, and
+rejects an imported name (the bound name, so `a` in `import a.b` and `y`
+in `from x import z as y`) that no `Name` node of the module reads.
 `from __future__` imports are compiler directives and are skipped.
+`__init__.py` re-exports nothing, so it is walked like the rest and any
+import added to it fails here.
 
-Public names: every public top-level function and class of those modules,
-and every public method of a public class, must be read by a library
-module other than `__init__.py`, by `perfbench/*.py` or by
-`tests/test_acceptance.py`.  A read is a `Name` or `Attribute` node, or a
+Public names: every public top-level function, class and constant (a
+module-level assignment) of those modules, and every public method of a
+public class, must be read by a library module, by `perfbench/*.py` or by
+`tests/test_acceptance.py`.  A read is a `Name` node in load context (so
+a constant's own assignment does not count), an `Attribute` node, or a
 component of a dotted string such as "fatgraph.ArcSystemConfig.slot_info",
 since the benchmark's tracer patches some methods by name.  A name that
 only its own unit test reaches is dead code and should go with its test.
 The check matches names, not definitions: a method is taken as read when
-any attribute of that name is read, so `LensSpace.parse` would pass on
-the strength of `MappingWord.parse` in `cli`, and a benchmark metric name
-such as "fatgraph.parity_check.calls" counts as a read of `parity_check`.
+any attribute of that name is read, so `VerificationReport.to_dict`
+passes on the strength of `FamilyInstance.to_dict` in `cli`, and a
+benchmark metric name such as "fatgraph.parity_check.calls" counts as a
+read of `parity_check`.
 """
 
 import ast
@@ -27,7 +30,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lensknots"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 READERS = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 
@@ -53,11 +56,15 @@ def unused_imports(tree):
 
 
 def public_defs(tree):
-    """Qualified names of the public top-level functions and classes, and
-    of the public methods of those classes."""
+    """Qualified names of the public top-level functions, classes and
+    constants, and of the public methods of those classes."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(t.id for t in targets
+                       if isinstance(t, ast.Name) and not t.id.startswith("_"))
         if isinstance(node, defs) and not node.name.startswith("_"):
             out.append(node.name)
             if isinstance(node, ast.ClassDef):
@@ -67,10 +74,11 @@ def public_defs(tree):
 
 
 def names_read(tree):
-    """Names read as a `Name`, an `Attribute` or a dotted string component."""
+    """Names read as a loaded `Name`, an `Attribute` or a dotted string
+    component."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -98,10 +106,10 @@ def test_unused_import_is_caught():
 
 
 def test_unread_public_name_is_caught():
-    tree = ast.parse("def f(): pass\ndef _g(): pass\n"
+    tree = ast.parse("def f(): pass\ndef _g(): pass\nK = 1\n_P = 2\nA: int = 3\n"
                      "class C:\n    def m(self): pass\n    def __str__(self): pass\n")
-    assert public_defs(tree) == ["f", "C", "C.m"]
-    reads = names_read(ast.parse("f()\nx.m\n'mod.C.other'\n'not a name'\n"))
+    assert public_defs(tree) == ["f", "K", "A", "C", "C.m"]
+    reads = names_read(ast.parse("f()\nx.m\n'mod.C.other'\n'not a name'\nK = 2\n"))
     assert {"f", "x", "m", "mod", "C", "other"} == reads
 
 

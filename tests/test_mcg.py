@@ -5,16 +5,20 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lensknots.mcg import (IDENTITY, TWIST_X, TWIST_Y, MappingWord, NTClass,
-                           bundle_h1, classify, conjugacy_invariant, evaluate,
-                           lens_filling_word, mat_mul, trace)
+from lensknots.mcg import (IDENTITY, MappingWord, NTClass, bundle_h1, classify,
+                           conjugacy_invariant, evaluate, lens_filling_word,
+                           mat_mul, trace)
 from lensknots.surgery import UNFILLED, AbelianGroup, h1, whitehead
 from test_surgery import solve_bezout
 
+# the Dehn twists x and y acting on first homology of the torus
+TWIST_X = ((1, 1), (0, 1))
+TWIST_Y = ((1, 0), (-1, 1))
+
 
 def test_twist_matrices():
-    assert TWIST_X == ((1, 1), (0, 1))
-    assert TWIST_Y == ((1, 0), (-1, 1))
+    assert evaluate("x") == TWIST_X
+    assert evaluate("y") == TWIST_Y
     assert evaluate("x y") == ((0, 1), (-1, 1))
     assert trace(evaluate("x y")) == 1
     assert evaluate("") == IDENTITY
