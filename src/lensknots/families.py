@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .gridknots import find_torus_grid_witness, grid1_order
-from .lenspaces import LensSpace, Slope, normalize, q_orbit
+from .lenspaces import LensSpace, Slope, _trusted, normalize, q_orbit
 from .mcg import MappingWord, bundle_h1
 from .surgery import FramedLink, core_order, h1, link_to_obj, unknot, whitehead
 
@@ -124,7 +124,7 @@ class FamilyInstance:
         return self.monodromy is not None
 
     def to_dict(self):
-        return {
+        return _rendered(self, lambda: {
             "schema_version": 1,
             "family": self.family.value,
             "k": self.k,
@@ -137,7 +137,7 @@ class FamilyInstance:
             "monodromy": str(self.monodromy) if self.monodromy else None,
             "torus_type": list(self.torus_type) if self.torus_type else None,
             "grid_index": self.grid_index,
-        }
+        })
 
     @classmethod
     def from_dict(cls, d) -> "FamilyInstance":
@@ -194,11 +194,12 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
     fibered = not form.sporadic or abs(k) == 1
     return FamilyInstance(
         family=family, k=k, rq=None,
-        space=family_space(family, k),
-        surgery=whitehead(Slope(form.alpha, 1), Slope.make(form.beta * k + 1, k)),
+        space=_space(form, k),
+        surgery=whitehead(Slope.make(form.alpha, 1), Slope.make(form.beta * k + 1, k)),
         core_index=form.core,
         order_s=abs(_linear(form.s, k)),
-        monodromy=MappingWord((("x", form.twists[k > 0]), ("y", 1))) if fibered else None,
+        monodromy=(_trusted(MappingWord, syllables=(("x", form.twists[k > 0]), ("y", 1)))
+                   if fibered else None),
         grid_index=abs(_linear(form.grid, k)),
         torus_type=form.torus if not form.sporadic or k == 1 else None)
 
@@ -251,6 +252,9 @@ def _check(name, fn):
 
 def verify(inst: FamilyInstance) -> VerificationReport:
     """Recompute every attribute of an instance by an independent route."""
+    # an atlas member's check details print no number longer than |p|, so a
+    # member past the digit limit raises here, before any check runs
+    label, _ = _rendered(inst, lambda: (_label(inst), str(inst.space)))
     checks = (
         _check("homology", lambda: _check_homology(inst)),
         _check("core_order", lambda: _check_core_order(inst)),
@@ -259,12 +263,24 @@ def verify(inst: FamilyInstance) -> VerificationReport:
         _check("linking_form", lambda: _check_linking_form(inst)),
         _check("torus_type", lambda: _check_torus_type(inst)),
     )
-    return VerificationReport(_label(inst), checks)
+    return VerificationReport(label, checks)
 
 
 def _label(inst):
     param = f"k={inst.k}" if inst.k is not None else f"rq={inst.rq}"
     return f"{inst.family.value} {param}"
+
+
+def _rendered(inst, render):
+    """render(), or, when a number in it passes Python's int-to-str digit
+    limit (the one ValueError str() of an int raises), one ValueError that
+    names the family and the limit."""
+    try:
+        return render()
+    except ValueError:
+        raise ValueError(f"a member of family {inst.family.value} has a number past "
+                         "Python's int-to-str digit limit "
+                         "(sys.set_int_max_str_digits)") from None
 
 
 def _check_homology(inst):
@@ -390,7 +406,10 @@ def torus_knot_types():
 
 def family_space(family, k) -> LensSpace:
     """The (normalized) lens space of a knotted family at parameter k."""
-    form = _form(family, k)
+    return _space(_form(family, k), k)
+
+
+def _space(form, k):
     return normalize(_linear(form.p, k), _linear(form.q, k))
 
 

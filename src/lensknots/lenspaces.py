@@ -8,12 +8,28 @@ p = 0 encodes S1xS2 and |p| = 1 encodes S3 (with q := 1 in both cases).
 
 Slopes on a torus boundary are reduced fractions p/q with (p,q) ~ (-p,-q),
 plus the infinite slope 1/0.
+
+Construction rule: direct construction (`LensSpace(p, q)`, `Slope(p, q)`)
+validates its fields, and so do `Slope.make`, `Slope.parse` and
+`normalize` on their arguments.  Once those are checked, `Slope.make` and
+`normalize` build their result with `_trusted`, which skips the
+`__post_init__` check: the gcd reduction and the orbit minimum make the
+fields valid by construction.  The other producers of the package that do
+the same are listed in the `surgery` docstring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+
+def _trusted(cls, **fields):
+    """A frozen-dataclass value of cls from fields its caller has already
+    made valid, built without running __post_init__ a second time."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 @dataclass(frozen=True)
@@ -55,9 +71,7 @@ def normalize(p: int, q: int) -> LensSpace:
     if gcd(p, q) != 1:
         raise ValueError(f"L({p},{q}): p and q must be coprime")
     p = abs(p)
-    if p <= 1:
-        return LensSpace(p, 1)
-    return LensSpace(p, min(q_orbit(p, q)))
+    return _trusted(LensSpace, p=p, q=1 if p <= 1 else min(q_orbit(p, q)))
 
 
 def q_orbit(p: int, q: int) -> tuple:
@@ -94,12 +108,12 @@ class Slope:
         if q == 0:
             if p == 0:
                 raise ValueError("slope 0/0 is indeterminate")
-            return cls(1, 0)
+            return _trusted(cls, p=1, q=0)
         g = gcd(p, q)
         p, q = p // g, q // g
         if q < 0:
             p, q = -p, -q
-        return cls(p, q)
+        return _trusted(cls, p=p, q=q)
 
     @classmethod
     def from_rational(cls, r) -> "Slope":

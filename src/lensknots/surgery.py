@@ -9,6 +9,18 @@ e_1..e_n with one relation per filled component i:
 
 Unfilled components contribute a free generator and no relation, so the
 same machinery computes the homology of the complement of any sublink.
+
+Construction rule: direct construction of a `FramedLink` or an
+`AbelianGroup`, `FramedLink.make` and the link-file parsers validate every
+field.  The producers whose own code makes their result valid skip that
+second check through `lenspaces._trusted`: `FramedLink.fill` and `unfill`
+(the linking matrix was checked with the source link, and the new
+coefficient goes through `_coerce_slope`), `whitehead` (a constant matrix,
+coefficients through `_coerce_slope`), `AbelianGroup.from_presentation`
+(after its row-length check; a Smith diagonal is a divisibility chain),
+`Slope.make` and `normalize` in `lenspaces`, and the monodromy of
+`families.instantiate`.  The tests rebuild every
+such value through `dataclasses.replace`, which runs the full check.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .lenspaces import Slope
+from .lenspaces import Slope, _trusted
 from .snf import determinant, smith_normal_form
 
 # order of an infinite-order element or infinite group; with this encoding
@@ -73,10 +85,11 @@ class AbelianGroup:
     @classmethod
     def from_presentation(cls, rows, ngens) -> "AbelianGroup":
         """Cokernel of the relation rows inside Z^ngens."""
-        if any(len(r) != ngens for r in rows):
-            raise ValueError(f"every relation row needs {ngens} entries")
+        if ngens < 0 or any(len(r) != ngens for r in rows):
+            raise ValueError(f"need ngens >= 0 and {ngens} entries in every relation row")
         diag = smith_normal_form(rows)
-        return cls(ngens - len(diag), tuple(d for d in diag if d > 1))
+        return _trusted(cls, rank=ngens - len(diag),
+                        torsion=tuple(d for d in diag if d > 1))
 
 
 @dataclass(frozen=True)
@@ -129,7 +142,8 @@ class FramedLink:
         """Replace component i's coefficient (None removes the filling)."""
         coeffs = list(self.coefficients)
         coeffs[i] = _coerce_slope(coeff)
-        return FramedLink(self.linking, tuple(coeffs), self.name)
+        return _trusted(FramedLink, linking=self.linking, coefficients=tuple(coeffs),
+                        name=self.name)
 
     def unfill(self, i) -> "FramedLink":
         return self.fill(i, None)
@@ -141,7 +155,8 @@ def unknot(coeff=UNFILLED) -> FramedLink:
 
 def whitehead(a=UNFILLED, b=UNFILLED) -> FramedLink:
     """The Whitehead link: two components with linking number zero."""
-    return FramedLink.make(((0, 0), (0, 0)), (a, b), name="whitehead")
+    return _trusted(FramedLink, linking=((0, 0), (0, 0)),
+                    coefficients=(_coerce_slope(a), _coerce_slope(b)), name="whitehead")
 
 
 def chain3(a=UNFILLED, b=UNFILLED, c=UNFILLED) -> FramedLink:
@@ -152,12 +167,11 @@ def chain3(a=UNFILLED, b=UNFILLED, c=UNFILLED) -> FramedLink:
 
 def h1_presentation(link: FramedLink):
     """Relation rows of H1 on the meridian generators, one per filled comp."""
-    n = link.num_components
     rows = []
     for i, c in enumerate(link.coefficients):
         if c is None:
             continue
-        row = [c.q * link.lk(i, j) for j in range(n)]
+        row = [c.q * x for x in link.linking[i]]
         row[i] = c.p  # diagonal linking entry is zero, so nothing is lost
         rows.append(row)
     return rows

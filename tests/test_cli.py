@@ -451,6 +451,8 @@ LIBRARY_VALIDATIONS = {
                            "torus_knot_sequence(0, 1, 1, 1)",
     "from_presentation": "from lensknots.surgery import AbelianGroup; "
                          "AbelianGroup.from_presentation([[2]], 2)",
+    "from_presentation-negative-ngens": "from lensknots.surgery import AbelianGroup; "
+                                        "AbelianGroup.from_presentation([], -1)",
     "Region.length": "from lensknots.fatgraph import ArcSystemConfig, faces; "
                      "faces(ArcSystemConfig(2, 2, 2, 0, 0)).annuli[0].length",
     "bool-linking": "from lensknots.surgery import FramedLink; "
@@ -467,6 +469,8 @@ LIBRARY_VALIDATIONS = {
     "list-linking": "from lensknots.surgery import FramedLink; FramedLink([[0]], (None,))",
     "list-syllables": "from lensknots.mcg import MappingWord; MappingWord([('x', 1)])",
     "bool-k": "from lensknots.families import instantiate; instantiate('I', True)",
+    "verify-past-digit-limit": "from lensknots.families import instantiate, verify; "
+                               "verify(instantiate('I', 10**5000))",
     "bool-matrix": "from lensknots.mcg import evaluate; evaluate(((True, 1), (0, True)))",
     "float-config": "from lensknots.fatgraph import ArcSystemConfig; "
                     "ArcSystemConfig(1.0, 2, 1, 0, 0)",

@@ -198,6 +198,27 @@ def test_verify_catches_corruption():
     assert "grid" in failed
 
 
+def test_member_past_digit_limit_raises_one_named_error(monkeypatch):
+    """The label and the space are rendered before any check runs, and
+    to_dict raises the same error, naming the family and the digit limit.
+    At k = 9 * 10**4299 the parameter fits in 4,300 digits and p = 6k-1
+    does not."""
+    checked = []
+    monkeypatch.setattr(families, "_check", lambda name, fn: checked.append(name))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for family, k in [("II", -10**5000), ("I", 9 * 10**4299)]:
+            inst = instantiate(family, k)
+            for call in (verify, FamilyInstance.to_dict):
+                with pytest.raises(ValueError, match=rf"^a member of family {family} has a "
+                                   r"number past Python's int-to-str digit limit"):
+                    call(inst)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert checked == []
+
+
 def test_report_shape():
     report = verify(instantiate("II", -2))
     assert report.ok and report.label == "II k=-2"

@@ -1,0 +1,100 @@
+"""Values built without a second __post_init__ check are valid.
+
+`Slope.make`, `normalize`, `AbelianGroup.from_presentation`,
+`FramedLink.fill`/`unfill`, `whitehead` and `instantiate`'s monodromy build
+their results through `lenspaces._trusted`, which skips the dataclass
+check.  `dataclasses.replace(v)` re-runs `__init__` and `__post_init__`,
+so it raises on an invalid value and equals a valid one.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from lensknots import cli
+from lensknots.families import instantiate
+from lensknots.lenspaces import LensSpace, Slope, normalize
+from lensknots.mcg import MappingWord
+from lensknots.surgery import AbelianGroup, FramedLink, h1, whitehead
+
+CHECKED = (Slope, LensSpace, FramedLink, AbelianGroup, MappingWord)
+
+
+def assert_valid(value):
+    assert dataclasses.replace(value) == value
+
+
+def _ks():
+    rng = random.Random(18)
+    small = [k for k in range(-60, 61) if k]
+    return small + [rng.choice((-1, 1)) * rng.randint(61, 10**15) for _ in range(200)]
+
+
+@pytest.mark.parametrize("family", ["I", "II", "III", "IV", "V"])
+def test_instances_are_valid(family):
+    for k in _ks():
+        inst = instantiate(family, k)
+        values = [inst.space, inst.surgery, *inst.surgery.coefficients,
+                  inst.surgery.unfill(inst.core_index), h1(inst.surgery)]
+        if inst.monodromy is not None:
+            values.append(inst.monodromy)
+        for value in values:
+            assert_valid(value)
+
+
+def test_slope_make_and_normalize_are_valid():
+    rng = random.Random(1801)
+    for _ in range(2000):
+        bound = rng.choice((3, 100, 10**15))
+        p, q = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if (p, q) != (0, 0):
+            slope = Slope.make(p, q)
+            assert_valid(slope)
+            assert slope.p * q == slope.q * p
+        if gcd(p, q) == 1:
+            assert_valid(normalize(p, q))
+    for p, q in [(0, 1), (1, 5), (-1, 7), (2, -1), (7, 2), (-12, 5)]:
+        assert_valid(normalize(p, q))
+
+
+def test_from_presentation_is_valid():
+    rng = random.Random(1802)
+    for _ in range(1000):
+        ngens = rng.randint(1, 5)  # three or more columns take the elimination path
+        bound = rng.choice((2, 20, 10**12))
+        rows = [[rng.randint(-bound, bound) for _ in range(ngens)]
+                for _ in range(rng.randint(0, 5))]
+        assert_valid(AbelianGroup.from_presentation(rows, ngens))
+    with pytest.raises(ValueError):
+        AbelianGroup.from_presentation([], -1)  # no row to fix the rank's sign
+
+
+def test_whitehead_and_fill_coerce_their_coefficients():
+    for a, b in [("-3", "5/2"), (2, None), (Fraction(-14, 6), "inf"), (Slope(1, 0), -7)]:
+        link = whitehead(a, b)
+        assert_valid(link)
+        for i, coeff in [(0, "1/2"), (1, -4), (0, Fraction(3, -9)), (1, None)]:
+            assert_valid(link.fill(i, coeff))
+            assert_valid(link.unfill(i))
+    with pytest.raises(ValueError):
+        whitehead(True, "-3")
+    with pytest.raises(ValueError):
+        whitehead("-3", "1/0/2").fill(0, "2")
+
+
+def test_warm_verify_runs_no_post_init(monkeypatch, capsys):
+    """After a warm-up, verify builds every value on the unchecked path."""
+    argv = ["verify", "--families", "all", "--k-range", "-20..20"]
+    assert cli.run(argv) == 0
+    calls = []
+    for cls in CHECKED:
+        def counted(self, check=cls.__post_init__):
+            calls.append(type(self).__name__)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert cli.run(argv) == 0
+    assert calls == []
+    assert capsys.readouterr().out.endswith("checked 200 instances: all ok\n")
