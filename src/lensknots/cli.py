@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 from .families import FamilyId, _exception_detail, family_space, instantiate, verify
 from .fatgraph import enumerate_configs
@@ -182,6 +181,10 @@ def _cmd_verify(args):
     if workers == 1:
         failures = _print_batches(_verify_span(*span) for span in spans)
     else:
+        # imported here: the pool's modules (multiprocessing, pickle, socket,
+        # ...) then load only in a process that forks
+        from concurrent.futures import ProcessPoolExecutor
+
         # a failing print (say to a closed pipe) unwinds through the with
         # block, which shuts the pool down
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -422,8 +422,8 @@ def coincidence_scan(maxk):
     normalized, so each pair of families is a hash join on the space, in
     O(maxk) and in (f, g, k, l) order.
     """
-    if maxk < 1:
-        raise ValueError(f"maxk must be at least 1, got {maxk}")
+    if type(maxk) is not int or maxk < 1:
+        raise ValueError(f"maxk must be an int of at least 1, got {maxk!r}")
     fams = (FamilyId.I, FamilyId.II, FamilyId.III)
     spaces = {f: [family_space(f, k) for k in range(1, maxk + 1)] for f in fams}
     out = []

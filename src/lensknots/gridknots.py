@@ -33,9 +33,10 @@ def grid1_order(n, r):
 
 
 def _check_grid(r, q, da, db):
-    if r < 2 or gcd(r, q) != 1 or da < 1 or db < 1:
-        raise ValueError(f"grid needs r >= 2, gcd(r,q) = 1 and da, db >= 1, "
-                         f"got r={r}, q={q}, da={da}, db={db}")
+    if (not (type(r) is type(q) is type(da) is type(db) is int)
+            or r < 2 or gcd(r, q) != 1 or da < 1 or db < 1):
+        raise ValueError(f"grid needs ints r >= 2, q with gcd(r,q) = 1 and da, db >= 1, "
+                         f"got r={r!r}, q={q!r}, da={da!r}, db={db!r}")
 
 
 def torus_knot_sequence(r, qdot, da, db):

@@ -15,12 +15,13 @@ Construction rule: direct construction of a `FramedLink` or an
 field.  The producers whose own code makes their result valid skip that
 second check through `lenspaces._trusted`: `FramedLink.fill` and `unfill`
 (the linking matrix was checked with the source link, and the new
-coefficient goes through `_coerce_slope`), `whitehead` (a constant matrix,
-coefficients through `_coerce_slope`), `AbelianGroup.from_presentation`
-(after its row-length check; a Smith diagonal is a divisibility chain),
-`Slope.make` and `normalize` in `lenspaces`, and the monodromy of
-`families.instantiate`.  The tests rebuild every
-such value through `dataclasses.replace`, which runs the full check.
+coefficient goes through `_coerce_slope`), `unknot` and `whitehead` (a
+constant matrix, coefficients through `_coerce_slope`),
+`AbelianGroup.from_presentation` (after its row-length check; a Smith
+diagonal is a divisibility chain), `Slope.make` and `normalize` in
+`lenspaces`, and the monodromy of `families.instantiate`.  The tests
+rebuild every such value through `dataclasses.replace`, which runs the
+full check.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ class FramedLink:
 
 
 def unknot(coeff=UNFILLED) -> FramedLink:
-    return FramedLink.make(((0,),), (coeff,), name="unknot")
+    return _trusted(FramedLink, linking=((0,),), coefficients=(_coerce_slope(coeff),),
+                    name="unknot")
 
 
 def whitehead(a=UNFILLED, b=UNFILLED) -> FramedLink:
@@ -195,8 +197,8 @@ def core_order(link: FramedLink, i: int):
     need a Smith form, to compare ranks.
     """
     n = link.num_components
-    if not 0 <= i < n:
-        raise ValueError(f"no component {i} in a {n}-component link")
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"no component {i!r} in a {n}-component link")
     if link.coefficients[i] is None:
         raise ValueError(f"component {i} is not filled")
     if any(c is None for c in link.coefficients):
@@ -225,8 +227,8 @@ def blow_down(link: FramedLink, c: int) -> FramedLink:
     untouched in value (infinity stays infinity, unfilled stays unfilled).
     """
     n = link.num_components
-    if not 0 <= c < n:
-        raise ValueError(f"no component {c} in a {n}-component link")
+    if type(c) is not int or not 0 <= c < n:
+        raise ValueError(f"no component {c!r} in a {n}-component link")
     coeff = link.coefficients[c]
     if coeff is None or coeff.q != 1 or abs(coeff.p) != 1:
         raise ValueError(f"component {c} is not (+1)- or (-1)-framed")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import pathlib
@@ -106,7 +107,9 @@ def in_process_pool(monkeypatch):
             record.peak_in_flight = max(record.peak_in_flight, in_flight)
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    # `_cmd_verify` imports the pool class when it forks, so the class is
+    # replaced where that import reads it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     return record
@@ -142,12 +145,12 @@ def test_verify_real_pool_matches_sequential(monkeypatch, capsys):
     whose report is byte-identical to the sequential one."""
     sizes = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     width = 2 * cli._WORKER_MIN // 5 + 1  # five families
@@ -159,6 +162,22 @@ def test_verify_real_pool_matches_sequential(monkeypatch, capsys):
     assert pooled == solo
     assert solo.endswith(f"checked {5 * width} instances: all ok\n")
     assert sizes == [2]
+
+
+def test_cli_loads_no_pool_modules_unless_it_forks():
+    """A fresh process that imports the CLI and runs a verify too small to
+    fork, and an mcg query, never loads the process pool's modules."""
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from lensknots.cli import run",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [run(['verify', '--families', 'all', '--k-range', '1..50',"
+        " '--jobs', '2']), run(['mcg', '--word', 'x^2 y^-1'])]",
+        "print(codes, [m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])",
+    ])
+    proc = python_O("-c", code)
+    assert proc.stdout == "[0, 0] []\n", proc.stderr
 
 
 @pytest.mark.parametrize("jobs, cpus, workers", [
@@ -447,8 +466,28 @@ LIBRARY_VALIDATIONS = {
                             "family_space('I', 2.5)",
     "coincidence_scan": "from lensknots.families import coincidence_scan; "
                         "coincidence_scan(0)",
+    "bool-coincidence_scan": "from lensknots.families import coincidence_scan; "
+                             "coincidence_scan(True)",
+    "float-coincidence_scan": "from lensknots.families import coincidence_scan; "
+                              "coincidence_scan(2.5)",
     "torus_knot_sequence": "from lensknots.gridknots import torus_knot_sequence; "
                            "torus_knot_sequence(0, 1, 1, 1)",
+    "bool-torus_knot_sequence": "from lensknots.gridknots import torus_knot_sequence; "
+                                "torus_knot_sequence(5, 2, True, 2)",
+    "float-torus_knot_sequence": "from lensknots.gridknots import torus_knot_sequence; "
+                                 "torus_knot_sequence(5.0, 2, 1, 2)",
+    "bool-find_torus_grid_witness": "from lensknots.gridknots import "
+                                    "find_torus_grid_witness; "
+                                    "find_torus_grid_witness(7, True, 1, 2)",
+    "float-find_torus_grid_witness": "from lensknots.gridknots import "
+                                     "find_torus_grid_witness; "
+                                     "find_torus_grid_witness(7, 2, 1, 2.0)",
+    "bool-core_order": "from lensknots.surgery import core_order, whitehead; "
+                       "core_order(whitehead('1', '2'), True)",
+    "float-core_order": "from lensknots.surgery import core_order, whitehead; "
+                        "core_order(whitehead('1', '2'), 1.0)",
+    "bool-blow_down": "from lensknots.surgery import blow_down, whitehead; "
+                      "blow_down(whitehead('2', '1'), True)",
     "from_presentation": "from lensknots.surgery import AbelianGroup; "
                          "AbelianGroup.from_presentation([[2]], 2)",
     "from_presentation-negative-ngens": "from lensknots.surgery import AbelianGroup; "

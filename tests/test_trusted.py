@@ -1,10 +1,10 @@
 """Values built without a second __post_init__ check are valid.
 
 `Slope.make`, `normalize`, `AbelianGroup.from_presentation`,
-`FramedLink.fill`/`unfill`, `whitehead` and `instantiate`'s monodromy build
-their results through `lenspaces._trusted`, which skips the dataclass
-check.  `dataclasses.replace(v)` re-runs `__init__` and `__post_init__`,
-so it raises on an invalid value and equals a valid one.
+`FramedLink.fill`/`unfill`, `unknot`, `whitehead` and `instantiate`'s
+monodromy build their results through `lenspaces._trusted`, which skips
+the dataclass check.  `dataclasses.replace(v)` re-runs `__init__` and
+`__post_init__`, so it raises on an invalid value and equals a valid one.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ from lensknots import cli
 from lensknots.families import instantiate
 from lensknots.lenspaces import LensSpace, Slope, normalize
 from lensknots.mcg import MappingWord
-from lensknots.surgery import AbelianGroup, FramedLink, h1, whitehead
+from lensknots.surgery import AbelianGroup, FramedLink, h1, unknot, whitehead
 
 CHECKED = (Slope, LensSpace, FramedLink, AbelianGroup, MappingWord)
 
@@ -85,16 +85,42 @@ def test_whitehead_and_fill_coerce_their_coefficients():
         whitehead("-3", "1/0/2").fill(0, "2")
 
 
-def test_warm_verify_runs_no_post_init(monkeypatch, capsys):
-    """After a warm-up, verify builds every value on the unchecked path."""
-    argv = ["verify", "--families", "all", "--k-range", "-20..20"]
-    assert cli.run(argv) == 0
+def test_unknot_coerces_its_coefficient():
+    for coeff in ["0", "-7/2", None, Fraction(6, -4), Slope(1, 0)]:
+        assert_valid(unknot(coeff))
+    for r in range(2, 30):
+        for q in (1, -1, 3, -5):
+            if gcd(r, q) == 1:
+                assert_valid(instantiate("VI", rq=(r, q)).surgery)
+    with pytest.raises(ValueError):
+        unknot(True)
+
+
+def count_post_inits(monkeypatch):
+    """The names of the classes whose __post_init__ runs from here on."""
     calls = []
     for cls in CHECKED:
         def counted(self, check=cls.__post_init__):
             calls.append(type(self).__name__)
             check(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+def test_warm_verify_runs_no_post_init(monkeypatch, capsys):
+    """After a warm-up, verify builds every value on the unchecked path."""
+    argv = ["verify", "--families", "all", "--k-range", "-20..20"]
+    assert cli.run(argv) == 0
+    calls = count_post_inits(monkeypatch)
     assert cli.run(argv) == 0
     assert calls == []
     assert capsys.readouterr().out.endswith("checked 200 instances: all ok\n")
+
+
+def test_warm_vi_instances_run_no_post_init(monkeypatch):
+    """The unknot surgeries of family VI come off the unchecked path too."""
+    instantiate("VI", rq=(7, 1))
+    calls = count_post_inits(monkeypatch)
+    for r in range(2, 102):
+        instantiate("VI", rq=(r, 1))
+    assert calls == []
