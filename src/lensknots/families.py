@@ -208,9 +208,21 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's verdict, and the values its detail is written from: the
+    detail is formatted only when it is read, and two results of the same
+    check compare by those values."""
+
     name: str
     passed: bool
-    detail: str
+    _detail: tuple  # a str.format template, then the values it takes
+
+    @property
+    def detail(self):
+        template, *values = self._detail
+        try:
+            return template.format(*values)
+        except Exception as exc:  # say a hand-made number past the digit limit
+            return _exception_detail(exc)
 
 
 @dataclass(frozen=True)
@@ -242,12 +254,14 @@ def _exception_detail(exc):
     return f"exception: {exc!r} in {code.co_name} ({where})"
 
 
-def _check(name, fn):
+def _check(name, fn, inst):
+    """fn(inst) is (verdict, detail template, *values); a check that raises
+    fails, with the exception as its detail."""
     try:
-        passed, detail = fn()
+        result = fn(inst)
     except Exception as exc:
-        return CheckResult(name, False, _exception_detail(exc))
-    return CheckResult(name, bool(passed), detail)
+        return CheckResult(name, False, ("{}", _exception_detail(exc)))
+    return CheckResult(name, bool(result[0]), result[1:])
 
 
 def verify(inst: FamilyInstance) -> VerificationReport:
@@ -255,13 +269,14 @@ def verify(inst: FamilyInstance) -> VerificationReport:
     # an atlas member's check details print no number longer than |p|, so a
     # member past the digit limit raises here, before any check runs
     label, _ = _rendered(inst, lambda: (_label(inst), str(inst.space)))
+    # each check is looked up at call time, so a replaced one takes effect
     checks = (
-        _check("homology", lambda: _check_homology(inst)),
-        _check("core_order", lambda: _check_core_order(inst)),
-        _check("fibration", lambda: _check_fibration(inst)),
-        _check("grid", lambda: _check_grid(inst)),
-        _check("linking_form", lambda: _check_linking_form(inst)),
-        _check("torus_type", lambda: _check_torus_type(inst)),
+        _check("homology", _check_homology, inst),
+        _check("core_order", _check_core_order, inst),
+        _check("fibration", _check_fibration, inst),
+        _check("grid", _check_grid, inst),
+        _check("linking_form", _check_linking_form, inst),
+        _check("torus_type", _check_torus_type, inst),
     )
     return VerificationReport(label, checks)
 
@@ -287,13 +302,13 @@ def _check_homology(inst):
     group = h1(inst.surgery)
     want = inst.space.order  # 0 for S1xS2, as for group.order()
     ok = group.is_cyclic and group.order() == want
-    return ok, f"h1 = {group}, space order {want}"
+    return ok, "h1 = {}, space order {}", group, want
 
 
 def _check_core_order(inst):
     got = core_order(inst.surgery, inst.core_index)
     ok = got == inst.order_s
-    return ok, f"core order {got}, expected s = {inst.order_s}"
+    return ok, "core order {}, expected s = {}", got, inst.order_s
 
 
 def _check_fibration(inst):
@@ -302,7 +317,7 @@ def _check_fibration(inst):
     exterior, bundle = _fibration_groups(inst.surgery.unfill(inst.core_index),
                                          inst.monodromy)
     ok = exterior == bundle
-    return ok, f"exterior h1 = {exterior}, bundle h1 = {bundle}"
+    return ok, "exterior h1 = {}, bundle h1 = {}", exterior, bundle
 
 
 @lru_cache(maxsize=32)
@@ -321,15 +336,15 @@ def _check_grid(inst):
     r = inst.space.order
     got = grid1_order(inst.grid_index, r)  # 0 encodes infinite, same as order_s
     ok = got == inst.order_s
-    detail = f"grid index {inst.grid_index} has order {got} in H1 of {inst.space}"
-    if inst.torus_type is not None:
-        da, db = inst.torus_type
-        witness = find_torus_grid_witness(r, inst.space.q, da, db)
-        # a (da,db) knot on the grid starts with da unit steps, so its
-        # grid index is da; holds for every torus-knot member of the atlas
-        ok = ok and witness is not None and inst.grid_index == da
-        detail += f"; torus witness {witness[0] if witness else 'missing'}"
-    return ok, detail
+    if inst.torus_type is None:
+        return ok, "grid index {} has order {} in H1 of {}", inst.grid_index, got, inst.space
+    da, db = inst.torus_type
+    witness = find_torus_grid_witness(r, inst.space.q, da, db)
+    # a (da,db) knot on the grid starts with da unit steps, so its
+    # grid index is da; holds for every torus-knot member of the atlas
+    ok = ok and witness is not None and inst.grid_index == da
+    return (ok, "grid index {} has order {} in H1 of {}; torus witness {}",
+            inst.grid_index, got, inst.space, witness[0] if witness else "missing")
 
 
 def _check_linking_form(inst):
@@ -343,19 +358,19 @@ def _check_linking_form(inst):
     """
     p = inst.space.order
     if p <= 1:
-        return True, f"{inst.space} has no torsion linking form; nothing to compare"
+        return True, "{} has no torsion linking form; nothing to compare", inst.space
     if any(map(any, inst.surgery.linking)):
         return False, "components link; no closed form for the self-linking"
     slope = inst.surgery.coefficients[inst.core_index]
     a, b = slope.p, slope.q
     if a == 0 or p % a:
-        return False, f"core slope {slope} does not divide |H1| = {p}"
+        return False, "core slope {} does not divide |H1| = {}", slope, p
     c = pow(b, -1, abs(a))
     got = -b * c * c * (p // a) % p
     n2 = inst.grid_index ** 2
     want = [n2 * x % p for x in q_orbit(p, inst.space.q)]
     ok = got in want
-    return ok, f"p*lk(K,K) = {got} mod {p}, expected +-{want[0]} or +-{want[2]}"
+    return ok, "p*lk(K,K) = {} mod {}, expected +-{} or +-{}", got, p, want[0], want[2]
 
 
 def _check_torus_type(inst):
@@ -363,7 +378,7 @@ def _check_torus_type(inst):
         return True, "not a torus knot; nothing to check"
     da, db = inst.torus_type
     ok = _is_torus_type(da, db)
-    return ok, f"1/{da} + 1/{db} + 1/lcm {'=' if ok else '!='} 1"
+    return ok, "1/{} + 1/{} + 1/lcm {} 1", da, db, "=" if ok else "!="
 
 
 def _is_torus_type(da, db):

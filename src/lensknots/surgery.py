@@ -14,9 +14,9 @@ Construction rule: direct construction of a `FramedLink` or an
 `AbelianGroup`, `FramedLink.make` and the link-file parsers validate every
 field.  The producers whose own code makes their result valid skip that
 second check through `lenspaces._trusted`: `FramedLink.fill` and `unfill`
-(the linking matrix was checked with the source link, and the new
-coefficient goes through `_coerce_slope`), `unknot` and `whitehead` (a
-constant matrix, coefficients through `_coerce_slope`),
+(the linking matrix was checked with the source link, the index is checked,
+and the new coefficient goes through `_coerce_slope`), `unknot` and
+`whitehead` (a constant matrix, coefficients through `_coerce_slope`),
 `AbelianGroup.from_presentation` (after its row-length check; a Smith
 diagonal is a divisibility chain), `Slope.make` and `normalize` in
 `lenspaces`, and the monodromy of `families.instantiate`.  The tests
@@ -141,6 +141,9 @@ class FramedLink:
 
     def fill(self, i, coeff) -> "FramedLink":
         """Replace component i's coefficient (None removes the filling)."""
+        n = self.num_components
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"no component {i!r} in a {n}-component link")
         coeffs = list(self.coefficients)
         coeffs[i] = _coerce_slope(coeff)
         return _trusted(FramedLink, linking=self.linking, coefficients=tuple(coeffs),

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import json
 import os
@@ -12,7 +13,8 @@ import pytest
 from lensknots import cli, families
 from lensknots.cli import run
 from lensknots.families import FamilyInstance, instantiate
-from lensknots.surgery import link_to_json, unknot, whitehead
+from lensknots.lenspaces import LensSpace
+from lensknots.surgery import AbelianGroup, link_to_json, unknot, whitehead
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -279,6 +281,29 @@ def test_verify_check_exception_detail(monkeypatch, capsys, fake_pool, jobs):
     assert out.endswith("checked 3 instances: 1 failed\n")
 
 
+def test_passing_verify_renders_no_detail(monkeypatch, capsys):
+    """A passing line prints the space and nothing of what the checks
+    compared: verify renders the space once up front and the ok line once,
+    and _cmd_verify renders each family's two range ends.  The reports
+    still compare by value."""
+    argv = ["verify", "--families", "all", "--k-range", "-20..20"]
+    assert run(argv) == 0  # warm
+    calls = collections.Counter()
+    for cls in (AbelianGroup, LensSpace):
+        def counted(self, render=cls.__str__, name=cls.__name__):
+            calls[name] += 1
+            return render(self)
+        monkeypatch.setattr(cls, "__str__", counted)
+    assert run(argv) == 0
+    assert out_of(capsys)[0].endswith("checked 200 instances: all ok\n")
+    assert calls == {"LensSpace": 2 * 200 + 2 * 5}
+    for fam in ("I", "II", "III", "IV", "V"):
+        for k in range(-20, 21):
+            if k:
+                inst = instantiate(fam, k)
+                assert families.verify(inst) == families.verify(inst), (fam, k)
+
+
 def test_verify_usage_errors(capsys):
     assert run(["verify", "--families", "IX", "--k-range", "1..2"]) == 2
     assert run(["verify", "--k-range", "whatever"]) == 2
@@ -488,6 +513,12 @@ LIBRARY_VALIDATIONS = {
                         "core_order(whitehead('1', '2'), 1.0)",
     "bool-blow_down": "from lensknots.surgery import blow_down, whitehead; "
                       "blow_down(whitehead('2', '1'), True)",
+    "bool-fill": "from lensknots.surgery import whitehead; whitehead('1', '2').fill(True, '5')",
+    "negative-fill": "from lensknots.surgery import whitehead; "
+                     "whitehead('1', '2').fill(-1, '5')",
+    "float-fill": "from lensknots.surgery import whitehead; whitehead('1', '2').fill(1.0, '5')",
+    "out-of-range-fill": "from lensknots.surgery import whitehead; "
+                         "whitehead('1', '2').fill(5, '5')",
     "from_presentation": "from lensknots.surgery import AbelianGroup; "
                          "AbelianGroup.from_presentation([[2]], 2)",
     "from_presentation-negative-ngens": "from lensknots.surgery import AbelianGroup; "

@@ -204,7 +204,7 @@ def test_member_past_digit_limit_raises_one_named_error(monkeypatch):
     At k = 9 * 10**4299 the parameter fits in 4,300 digits and p = 6k-1
     does not."""
     checked = []
-    monkeypatch.setattr(families, "_check", lambda name, fn: checked.append(name))
+    monkeypatch.setattr(families, "_check", lambda name, fn, inst: checked.append(name))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
@@ -217,6 +217,24 @@ def test_member_past_digit_limit_raises_one_named_error(monkeypatch):
     finally:
         sys.set_int_max_str_digits(limit)
     assert checked == []
+
+
+def test_unrenderable_detail_reads_as_its_error():
+    """A detail is formatted when read, so a number past the digit limit in
+    a hand-made instance leaves the verdicts as computed and reads as the
+    ValueError; neither reading raises."""
+    inst = dataclasses.replace(instantiate("I", 3), grid_index=10**5000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        report = verify(inst)
+        (grid,) = [c for c in report.checks if c.name == "grid"]
+        assert not grid.passed and not report.ok
+        assert grid.detail.startswith("exception: ValueError('Exceeds the limit"), grid.detail
+        (entry,) = [c for c in report.to_dict()["checks"] if c["name"] == "grid"]
+        assert entry == {"name": "grid", "passed": False, "detail": grid.detail}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_report_shape():
