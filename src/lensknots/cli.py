@@ -23,7 +23,7 @@ import sys
 from collections import deque
 
 from .families import FamilyId, _exception_detail, family_space, instantiate, verify
-from .fatgraph import enumerate_configs
+from .fatgraph import iter_configs
 from .gridknots import find_torus_grid_witness
 from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant, trace
 from .surgery import INFINITE, core_order, h1, link_from_json
@@ -234,11 +234,12 @@ def _cmd_grid(args):
 
 
 def _cmd_enum_graphs(args):
-    configs = enumerate_configs(args.t, args.max_parallel,
-                                require_max=args.require_max)
-    for c in configs:
+    # each configuration is printed as it is found, the count line last
+    count = 0
+    for c in iter_configs(args.t, args.max_parallel, require_max=args.require_max):
         print(f"s={c.s} t={c.t} arcs=({c.n_a},{c.n_b},{c.n_c})")
-    print(f"count: {len(configs)}")
+        count += 1
+    print(f"count: {count}")
     return 0
 
 

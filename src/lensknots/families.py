@@ -267,8 +267,9 @@ def _check(name, fn, inst):
 def verify(inst: FamilyInstance) -> VerificationReport:
     """Recompute every attribute of an instance by an independent route."""
     # an atlas member's check details print no number longer than |p|, so a
-    # member past the digit limit raises here, before any check runs
-    label, _ = _rendered(inst, lambda: (_label(inst), str(inst.space)))
+    # member past the digit limit raises here, before any check runs; the
+    # space's numbers are rendered, not the space, which a caller prints
+    label, _, _ = _rendered(inst, lambda: (_label(inst), str(inst.space.p), str(inst.space.q)))
     # each check is looked up at call time, so a replaced one takes effect
     checks = (
         _check("homology", _check_homology, inst),

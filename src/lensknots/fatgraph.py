@@ -27,12 +27,22 @@ E + n - 2j.  Only the circles through the first start and first end slot
 of each bundle, at most six slots in all, are traced.  Circles that are
 null-homologous in the torus bound complementary disks; homologically
 essential circles come in pairs bounding a single annulus region.
+
+Construction rule: direct construction (`ArcSystemConfig(...)` and the
+other classes here) runs the dataclass `__init__`, and `ArcSystemConfig`
+validates its fields.  `enumerate_configs` (and `iter_configs`), `faces`
+and `scharlemann_cycles` build their results with `_trusted_builder`'s
+builders, which skip the generated `__init__` and the `__post_init__`
+check: the enumeration's loop bounds and its parity test on the counts
+make every configuration valid by construction, and circles, regions,
+reports and cycles are closed forms or traces of a valid configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import starmap
+from dataclasses import dataclass, fields
+from itertools import cycle, repeat
+from operator import attrgetter
 
 CLASSES = {"A": (1, 0), "B": (1, 1), "C": (0, 1)}
 BUNDLE_ORDER = ("A", "B", "C")
@@ -85,11 +95,13 @@ class ArcSystemConfig:
         if not 0 <= m < 2 * e:
             raise IndexError(f"slot {m} out of range 0..{2 * e - 1}")
         r = m - e if m >= e else m
-        b = 0
-        for letter, n in zip(BUNDLE_ORDER, self.counts):
-            if r < b + n:
-                return letter, n, b
-            b += n
+        # the bundles in BUNDLE_ORDER, unrolled: this runs for every traced slot
+        n_a, n_b = self.n_a, self.n_b
+        if r < n_a:
+            return "A", n_a, 0
+        if r < n_a + n_b:
+            return "B", n_b, n_a
+        return "C", self.n_c, n_a + n_b
 
     def slot_info(self, m):
         """(bundle letter, index within bundle, is_start) of a global slot."""
@@ -130,8 +142,13 @@ def parity_check_closed_form(cfg: ArcSystemConfig) -> bool:
     E + n_X - 1, a constant, and for even t opposite label parity is
     exactly opposite slot parity.
     """
-    e = cfg.num_edges
-    return all(n == 0 or (e + n) % 2 == 0 for n in cfg.counts)
+    return _parity_holds(cfg.num_edges, cfg.counts)
+
+
+def _parity_holds(e, counts):
+    """The parity rule on E = s*t/2 and the multiplicities: E + n is even
+    for every nonempty bundle of n arcs."""
+    return all(n == 0 or (e + n) % 2 == 0 for n in counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,10 +213,39 @@ class ScharlemannCycle:
     color: object
 
 
+def _trusted_builder(cls):
+    """A function of cls's field values, in field order, that builds a cls
+    value without the generated __init__, for values valid by construction.
+
+    The frozen __init__ makes one object.__setattr__ call per field (and
+    ArcSystemConfig's __post_init__ checks them).  The builder sets each
+    slot through the class's member descriptor instead, which the frozen
+    __setattr__ does not guard.  Its body is unrolled, as the dataclass's
+    own __init__ is: a loop over the fields costs as much as the __init__.
+    """
+    n = len(fields(cls))
+    env = {"new": object.__new__, "cls": cls}
+    env.update((f"set{i}", getattr(cls, f.name).__set__)
+               for i, f in enumerate(fields(cls)))
+    args = ", ".join(f"f{i}" for i in range(n))
+    body = "".join(f"    set{i}(obj, f{i})\n" for i in range(n))
+    exec(f"def build({args}):\n    obj = new(cls)\n{body}    return obj\n", env)
+    return env["build"]
+
+
+_config = _trusted_builder(ArcSystemConfig)
+_circle = _trusted_builder(Circle)
+_region = _trusted_builder(Region)
+_report = _trusted_builder(FaceReport)
+_cycle = _trusted_builder(ScharlemannCycle)
+_color = attrgetter("color")
+_NULL = (0, 0)  # the homology class of a bigon
+
+
 def _trace_circle(cfg, start, seen):
     """Trace the circle that leaves by slot start, adding its out slots to
     seen."""
-    partner = cfg.partner
+    partner, edge_of_slot = cfg.partner, cfg.edge_of_slot
     e = cfg.num_edges
     out_slots = []
     corners = []
@@ -208,8 +254,7 @@ def _trace_circle(cfg, start, seen):
     p = start
     while True:
         out_slots.append(p)
-        seen.add(p)
-        edge = cfg.edge_of_slot(p)
+        edge = edge_of_slot(p)
         edges.append(edge)
         # an arc is traversed along its class from its start to its end
         dx, dy = CLASSES[edge[0]]
@@ -224,16 +269,18 @@ def _trace_circle(cfg, start, seen):
             p = 0
         if p == start:
             break
+    seen.update(out_slots)
     color = None
     # at t = 2 the colour of corner g depends only on the parity of g
     if cfg.t == 2 and len({g % 2 for g in corners}) == 1:
         color = cfg.corner_color(corners[0])
-    return Circle(tuple(out_slots), tuple(corners), frozenset(edges), (x, y), color)
+    return _circle(tuple(out_slots), tuple(corners), frozenset(edges), (x, y), color)
 
 
-def _bigons(cfg, letter, n, b, js):
-    """Bigon j, for each j in js with 1 <= j < n, of the bundle `letter` of
-    n arcs from slot b, as the fields of its Circle in their order.
+def _bigons(cfg, letter, n, b, first, step):
+    """Bigons j = first, first+step, ... below n of the bundle `letter` of
+    n arcs from slot b, as four iterators over the fields of their Circles
+    but the class, which is zero: out slots, corners, edges and colours.
 
     Bigon j is the disk between the bundle's arcs j-1 and j.  Leaving by
     start b+j, its circle arrives at the end E+b+n-1-j, leaves by the next
@@ -241,18 +288,23 @@ def _bigons(cfg, letter, n, b, js):
     at b+j; its class is zero.  Its two corners lie E+n-2j apart, so at
     t = 2 they share a colour exactly when E+n is even, and they lie on
     one knot segment v = (E+b+n-1-j + offset) mod t exactly when t divides
-    E+n-2j: then the bigon is a Scharlemann cycle.
+    E+n-2j: then the bigon is a Scharlemann cycle.  Each edge id (letter, j)
+    is built once, and neighbouring bigons share it.
     """
-    e = cfg.num_edges
-    if cfg.t == 2 and (e + n) % 2 == 0:
-        # the first corner E+b+n-1-j alternates in parity, so in colour, with j
-        colors = (cfg.corner_color(e + b + n - 1), cfg.corner_color(e + b + n))
+    top = cfg.num_edges + b + n  # bigon j's corners are top-1-j and b+j-1
+    outs = zip(range(b + first, b + n, step), range(top - first, top - n, -step))
+    corners = zip(range(top - 1 - first, top - 1 - n, -step),
+                  range(b + first - 1, b + n - 1, step))
+    ids = list(zip(repeat(letter), range(first - 1, n)))
+    edges = map(frozenset, zip(ids[::step], ids[1::step]))
+    if cfg.t == 2 and (top - b) % 2 == 0:
+        # at t = 2 a corner's colour is its parity's, and the first corner
+        # of the next bigon lies step slots lower
+        colors = cycle((cfg.corner_color(top - 1 - first),
+                        cfg.corner_color(top - 1 - first - step)))
     else:
-        colors = (None, None)
-    for j in js:
-        corner = e + b + n - 1 - j
-        yield ((b + j, corner + 1), (corner, b + j - 1),
-               frozenset({(letter, j), (letter, j - 1)}), (0, 0), colors[j % 2])
+        colors = repeat(None)
+    return outs, corners, edges, colors
 
 
 def _outer_walk(cfg):
@@ -284,8 +336,7 @@ def _outer_walk(cfg):
              for m in [b for _, _, b in bundles] + [e + b for _, _, b in bundles]
              if m not in seen]
     # bigons fill 2(n-1) slots of each bundle and these circles the rest
-    assert (sum(2 * (n - 1) for _, n, _ in bundles)
-            + sum(c.length for c in outer)) == cfg.num_slots
+    assert 2 * (e - len(bundles)) + sum(c.length for c in outer) == 2 * e
     essential = [c for c in outer if c.is_essential]
     # a disjoint union of circles on the torus has zero total class, and
     # at most one complementary region is not a disk, so essential circles
@@ -307,15 +358,18 @@ def faces(cfg: ArcSystemConfig) -> FaceReport:
     for head, letter, n, b in steps:
         if head is not None:
             circles.append(head)
-        circles.extend(starmap(Circle, _bigons(cfg, letter, n, b, range(1, n))))
-    circles.extend(tail)
-    regions = [Region("disk", (c,), c.color) for c in circles if not c.is_essential]
+        outs, corners, edges, colors = _bigons(cfg, letter, n, b, 1, 1)
+        circles += map(_circle, outs, corners, edges, repeat(_NULL), colors)
+    circles += tail
+    disks, annuli = circles, ()
     if essential:
         a, b = essential
+        disks = [c for c in circles if c is not a and c is not b]
         colors = {a.color, b.color}
         color = colors.pop() if len(colors) == 1 else None
-        regions.append(Region("annulus", (a, b), color))
-    return FaceReport(cfg, tuple(circles), tuple(regions))
+        annuli = (_region("annulus", (a, b), color),)
+    regions = (*map(_region, repeat("disk"), zip(disks), map(_color, disks)), *annuli)
+    return _report(cfg, tuple(circles), regions)
 
 
 def _label_pair(t, v):
@@ -323,9 +377,9 @@ def _label_pair(t, v):
     return frozenset({v + 1, (v + 1) % t + 1})
 
 
-def _disk_cycle(cfg, circle):
+def _disk_cycle(cfg, circle, pair):
     """The Scharlemann cycle of a disk boundary whose corners all lie on
-    one knot segment v, or None.
+    one knot segment v, or None; pair(v) is the label pair of segment v.
 
     corners[i] is the partner of out_slots[i] and out_slots[i+1] is
     corners[i] + 1 (mod s*t), so every edge then joins labels v+1 and v+2.
@@ -333,8 +387,7 @@ def _disk_cycle(cfg, circle):
     sides = {cfg.corner_side(g) for g in circle.corners}
     if len(sides) != 1:
         return None
-    return ScharlemannCycle(circle.edges, circle.length,
-                            _label_pair(cfg.t, sides.pop()), circle.color)
+    return _cycle(circle.edges, circle.length, pair(sides.pop()), circle.color)
 
 
 def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
@@ -349,13 +402,20 @@ def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
     steps, tail, _ = _outer_walk(cfg)
     t, e = cfg.t, cfg.num_edges
     half = t // 2
+    pairs = {}  # the label pair of each knot segment met, built once
+
+    def pair(v):
+        if v not in pairs:
+            pairs[v] = _label_pair(t, v)
+        return pairs[v]
+
     out = []
 
     def outer_cycle(circle):
         if not circle.is_essential:
-            cycle = _disk_cycle(cfg, circle)
-            if cycle is not None:
-                out.append(cycle)
+            found = _disk_cycle(cfg, circle, pair)
+            if found is not None:
+                out.append(found)
 
     for head, letter, n, b in steps:
         if head is not None:
@@ -365,13 +425,35 @@ def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
         if (e + n) % 2:
             continue
         first = ((e + n) // 2 - 1) % half + 1
-        out.extend(ScharlemannCycle(edges, 2, _label_pair(t, cfg.corner_side(corners[0])),
-                                    color)
-                   for _, corners, edges, _, color
-                   in _bigons(cfg, letter, n, b, range(first, n, half)))
+        _, _, edges, colors = _bigons(cfg, letter, n, b, first, half)
+        # the first corner moves down t/2 slots from one cycle to the next,
+        # so the cycles alternate between two knot segments
+        v = cfg.corner_side(e + b + n - 1 - first)
+        out += map(_cycle, edges, repeat(2), cycle((pair(v), pair((v + half) % t))),
+                   colors)
     for circle in tail:
         outer_cycle(circle)
     return tuple(out)
+
+
+def iter_configs(t, max_parallel, require_max=False):
+    """The configurations of enumerate_configs, one at a time, in the same
+    order; an invalid argument raises ValueError at the first one."""
+    if type(t) is not int or t < 2 or t % 2:
+        raise ValueError(f"t must be an even int of at least 2, got {t!r}")
+    if type(max_parallel) is not int or max_parallel < 1:
+        raise ValueError(f"max_parallel must be an int of at least 1, got {max_parallel!r}")
+    for s in range(1, 6 * max_parallel // t + 1):
+        target = s * t // 2
+        for a in [max_parallel] if require_max else range(max_parallel + 1):
+            for b in range(a + 1):
+                # c follows from a and b, so this loop order is (s, counts)
+                c = target - a - b
+                if 0 <= c <= b and _parity_holds(target, (a, b, c)):
+                    cfg = _config(s, t, a, b, c, 0)
+                    # the counts-level test is the public rule on the result
+                    assert parity_check_closed_form(cfg)
+                    yield cfg
 
 
 def enumerate_configs(t, max_parallel, require_max=False):
@@ -384,19 +466,4 @@ def enumerate_configs(t, max_parallel, require_max=False):
     bundle reaches max_parallel.  Every s compatible with the multiplicity
     bound is scanned.
     """
-    if type(t) is not int or t < 2 or t % 2:
-        raise ValueError(f"t must be an even int of at least 2, got {t!r}")
-    if type(max_parallel) is not int or max_parallel < 1:
-        raise ValueError(f"max_parallel must be an int of at least 1, got {max_parallel!r}")
-    out = []
-    for s in range(1, 6 * max_parallel // t + 1):
-        target = s * t // 2
-        for a in [max_parallel] if require_max else range(max_parallel + 1):
-            for b in range(a + 1):
-                # c follows from a and b, so this loop order is (s, counts)
-                c = target - a - b
-                if 0 <= c <= b:
-                    cfg = ArcSystemConfig(s, t, a, b, c, 0)
-                    if parity_check_closed_form(cfg):
-                        out.append(cfg)
-    return out
+    return list(iter_configs(t, max_parallel, require_max))

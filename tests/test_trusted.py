@@ -3,10 +3,15 @@
 `Slope.make`, `normalize`, `AbelianGroup.from_presentation`,
 `FramedLink.fill`/`unfill`, `unknot`, `whitehead` and `instantiate`'s
 monodromy build their results through `lenspaces._trusted`, which skips
-the dataclass check.  `dataclasses.replace(v)` re-runs `__init__` and
-`__post_init__`, so it raises on an invalid value and equals a valid one.
+the dataclass check.  `fatgraph.enumerate_configs` (and `iter_configs`),
+`faces` and `scharlemann_cycles` build their configurations, circles,
+regions, reports and cycles through `fatgraph._trusted_builder`, which
+skips the generated `__init__`.  `dataclasses.replace(v)` re-runs
+`__init__` and `__post_init__`, so it raises on an invalid value and
+equals a valid one.
 """
 
+import collections
 import dataclasses
 import random
 from fractions import Fraction
@@ -14,8 +19,10 @@ from math import gcd
 
 import pytest
 
-from lensknots import cli
+from lensknots import cli, fatgraph
 from lensknots.families import instantiate
+from lensknots.fatgraph import (ArcSystemConfig, enumerate_configs, faces,
+                                scharlemann_cycles)
 from lensknots.lenspaces import LensSpace, Slope, normalize
 from lensknots.mcg import MappingWord
 from lensknots.surgery import AbelianGroup, FramedLink, h1, unknot, whitehead
@@ -124,3 +131,63 @@ def test_warm_vi_instances_run_no_post_init(monkeypatch):
     for r in range(2, 102):
         instantiate("VI", rq=(r, 1))
     assert calls == []
+
+
+def fatgraph_values():
+    """Every configuration of enumerate_configs(t, 8) for t = 2, 4, 6, and
+    at each of its offsets its report, circles, regions and cycles."""
+    for t in (2, 4, 6):
+        for base in enumerate_configs(t, 8):
+            yield base
+            for offset in range(t):
+                cfg = dataclasses.replace(base, offset=offset)
+                report = faces(cfg)
+                yield report
+                yield from report.circles
+                yield from report.regions
+                yield from scharlemann_cycles(cfg)
+
+
+def test_fatgraph_values_are_valid():
+    kinds = collections.Counter()
+    for value in fatgraph_values():
+        assert_valid(value)
+        kinds[type(value).__name__] += 1
+    assert set(kinds) == {"ArcSystemConfig", "FaceReport", "Circle", "Region",
+                          "ScharlemannCycle"}
+
+
+def test_fatgraph_values_stay_frozen():
+    cfg = enumerate_configs(2, 4)[-1]
+    report = faces(cfg)
+    values = [cfg, report, report.circles[0], report.regions[0],
+              scharlemann_cycles(cfg)[0]]
+    for value in values:
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, None)
+
+
+def test_enumerate_configs_builds_only_what_it_returns(monkeypatch):
+    """The parity rule is tested on the counts, so no configuration is
+    built, checked or not, only to be thrown away."""
+    built = collections.Counter()
+    build = fatgraph._config
+
+    def counted_build(*fields):
+        built["trusted"] += 1
+        return build(*fields)
+
+    def counted_check(self, check=ArcSystemConfig.__post_init__):
+        built["checked"] += 1
+        check(self)
+
+    monkeypatch.setattr(fatgraph, "_config", counted_build)
+    monkeypatch.setattr(ArcSystemConfig, "__post_init__", counted_check)
+    for t in (2, 4, 6):
+        for m in range(1, 13):
+            for require_max in (False, True):
+                built.clear()
+                configs = enumerate_configs(t, m, require_max)
+                assert (built["trusted"], built["checked"]) == (len(configs), 0), \
+                    (t, m, require_max)
