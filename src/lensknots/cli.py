@@ -100,9 +100,11 @@ def _parse_krange(text):
 # whose results stay small, while a narrow one is split among the workers.
 _SPAN_CAP = 256
 
-# The fewest instances a forked worker must get to pay for its fork.  On two
-# vCPUs `--jobs 2` first beat one process at 450-500 instances, 225-250 per
-# worker (see README), so a worker gets at least one full span.
+# The fewest instances a forked worker must get to pay for its fork: a
+# worker gets at least one full span.  The latest sweep on two vCPUs (see
+# README) has `--jobs 2` first beat one process at 750-1,000 instances,
+# 375-500 per worker, so ranges of 512 to about 1,000 instances still fork
+# a pool that does not pay for itself; the value waits for a re-measure.
 _WORKER_MIN = _SPAN_CAP
 
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .gridknots import find_torus_grid_witness, grid1_order
-from .lenspaces import LensSpace, Slope, _trusted, normalize, q_orbit
+from .lenspaces import LensSpace, Slope, _trusted_builder, normalize, q_orbit
 from .mcg import MappingWord, bundle_h1
 from .surgery import FramedLink, core_order, h1, link_to_obj, unknot, whitehead
 
@@ -166,6 +166,9 @@ def _same(a, b):
     return a == b
 
 
+_word = _trusted_builder(MappingWord)
+
+
 def instantiate(family, k=None, rq=None) -> FamilyInstance:
     """Build the family member at a parameter from the closed forms.
 
@@ -198,8 +201,7 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
         surgery=whitehead(Slope.make(form.alpha, 1), Slope.make(form.beta * k + 1, k)),
         core_index=form.core,
         order_s=abs(_linear(form.s, k)),
-        monodromy=(_trusted(MappingWord, syllables=(("x", form.twists[k > 0]), ("y", 1)))
-                   if fibered else None),
+        monodromy=_word((("x", form.twists[k > 0]), ("y", 1))) if fibered else None,
         grid_index=abs(_linear(form.grid, k)),
         torus_type=form.torus if not form.sporadic or k == 1 else None)
 

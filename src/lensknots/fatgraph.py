@@ -28,21 +28,17 @@ of each bundle, at most six slots in all, are traced.  Circles that are
 null-homologous in the torus bound complementary disks; homologically
 essential circles come in pairs bounding a single annulus region.
 
-Construction rule: direct construction (`ArcSystemConfig(...)` and the
-other classes here) runs the dataclass `__init__`, and `ArcSystemConfig`
-validates its fields.  `enumerate_configs` (and `iter_configs`), `faces`
-and `scharlemann_cycles` build their results with `_trusted_builder`'s
-builders, which skip the generated `__init__` and the `__post_init__`
-check: the enumeration's loop bounds and its parity test on the counts
-make every configuration valid by construction, and circles, regions,
-reports and cycles are closed forms or traces of a valid configuration.
+Construction rule: see the `lenspaces` docstring, which lists the
+producers here that skip the dataclass check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import cycle, repeat
 from operator import attrgetter
+
+from .lenspaces import _trusted_builder
 
 CLASSES = {"A": (1, 0), "B": (1, 1), "C": (0, 1)}
 BUNDLE_ORDER = ("A", "B", "C")
@@ -213,26 +209,6 @@ class ScharlemannCycle:
     color: object
 
 
-def _trusted_builder(cls):
-    """A function of cls's field values, in field order, that builds a cls
-    value without the generated __init__, for values valid by construction.
-
-    The frozen __init__ makes one object.__setattr__ call per field (and
-    ArcSystemConfig's __post_init__ checks them).  The builder sets each
-    slot through the class's member descriptor instead, which the frozen
-    __setattr__ does not guard.  Its body is unrolled, as the dataclass's
-    own __init__ is: a loop over the fields costs as much as the __init__.
-    """
-    n = len(fields(cls))
-    env = {"new": object.__new__, "cls": cls}
-    env.update((f"set{i}", getattr(cls, f.name).__set__)
-               for i, f in enumerate(fields(cls)))
-    args = ", ".join(f"f{i}" for i in range(n))
-    body = "".join(f"    set{i}(obj, f{i})\n" for i in range(n))
-    exec(f"def build({args}):\n    obj = new(cls)\n{body}    return obj\n", env)
-    return env["build"]
-
-
 _config = _trusted_builder(ArcSystemConfig)
 _circle = _trusted_builder(Circle)
 _region = _trusted_builder(Region)
@@ -252,7 +228,7 @@ def _trace_circle(cfg, start, seen):
     edges = []
     x = y = 0
     p = start
-    while True:
+    for _ in range(2 * e):
         out_slots.append(p)
         edge = edge_of_slot(p)
         edges.append(edge)
@@ -269,6 +245,8 @@ def _trace_circle(cfg, start, seen):
             p = 0
         if p == start:
             break
+    else:
+        raise AssertionError(f"the circle from slot {start} does not close in {2 * e} steps")
     seen.update(out_slots)
     color = None
     # at t = 2 the colour of corner g depends only on the parity of g

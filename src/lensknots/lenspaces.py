@@ -9,30 +9,61 @@ p = 0 encodes S1xS2 and |p| = 1 encodes S3 (with q := 1 in both cases).
 Slopes on a torus boundary are reduced fractions p/q with (p,q) ~ (-p,-q),
 plus the infinite slope 1/0.
 
-Construction rule: direct construction (`LensSpace(p, q)`, `Slope(p, q)`)
-validates its fields, and so do `Slope.make`, `Slope.parse` and
-`normalize` on their arguments.  Once those are checked, `Slope.make` and
-`normalize` build their result with `_trusted`, which skips the
-`__post_init__` check: the gcd reduction and the orbit minimum make the
-fields valid by construction.  The other producers of the package that do
-the same are listed in the `surgery` docstring.
+Construction rule, for every value class of the package: direct
+construction (`LensSpace(p, q)`, `Slope(p, q)`, `AbelianGroup(...)`,
+`FramedLink(...)`, `MappingWord(...)`, `ArcSystemConfig(...)`),
+`FramedLink.make` and every parser validate their input and raise
+`ValueError`.  The producers whose own code makes their result valid build
+it with a builder of `_trusted_builder`, made once per class at import,
+which skips the generated `__init__` and the `__post_init__` check.  They
+are exactly these:
+
+- `normalize` and `Slope.make`, after their type and gcd checks: the gcd
+  reduction and the orbit minimum make the fields valid, and
+  `Slope.make(p, 0)` returns `INFINITY`;
+- `surgery.AbelianGroup.from_presentation`, after its row-length check:
+  a Smith diagonal is a divisibility chain;
+- `surgery.FramedLink.fill` and `unfill` (the linking matrix was checked
+  with the source link, the index is checked), `unknot` and `whitehead`
+  (a constant matrix), whose coefficients go through `_coerce_slope`;
+- the monodromy `x^n y` of `families.instantiate`;
+- `fatgraph.enumerate_configs` (and `iter_configs`), `faces` and
+  `scharlemann_cycles`: the enumeration's loop bounds and its parity test
+  on the counts make every configuration valid, and circles, regions,
+  reports and cycles are closed forms or traces of a valid configuration.
+
+Every value class is a frozen dataclass with slots, so
+`dataclasses.replace(v)` rebuilds a value through the full check;
+`tests/test_trusted.py` does so over the atlas and the arc census.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 
 
-def _trusted(cls, **fields):
-    """A frozen-dataclass value of cls from fields its caller has already
-    made valid, built without running __post_init__ a second time."""
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
+def _trusted_builder(cls):
+    """A function of cls's field values, in field order, that builds a cls
+    value without the generated __init__, for values valid by construction.
+
+    The frozen __init__ makes one object.__setattr__ call per field (and
+    __post_init__ checks them).  The builder sets each slot through the
+    class's member descriptor instead, which the frozen __setattr__ does
+    not guard.  Its body is unrolled, as the dataclass's own __init__ is:
+    a loop over the fields costs as much as the __init__.
+    """
+    n = len(fields(cls))
+    env = {"new": object.__new__, "cls": cls}
+    env.update((f"set{i}", getattr(cls, f.name).__set__)
+               for i, f in enumerate(fields(cls)))
+    args = ", ".join(f"f{i}" for i in range(n))
+    body = "".join(f"    set{i}(obj, f{i})\n" for i in range(n))
+    exec(f"def build({args}):\n    obj = new(cls)\n{body}    return obj\n", env)
+    return env["build"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LensSpace:
     """L(p,q), not necessarily in canonical form; p, q are ints with gcd 1."""
 
@@ -58,6 +89,9 @@ class LensSpace:
         return f"L({self.p},{self.q})"
 
 
+_lens_space = _trusted_builder(LensSpace)
+
+
 def normalize(p: int, q: int) -> LensSpace:
     """Canonical representative of the homeomorphism class of L(p,q).
 
@@ -71,7 +105,7 @@ def normalize(p: int, q: int) -> LensSpace:
     if gcd(p, q) != 1:
         raise ValueError(f"L({p},{q}): p and q must be coprime")
     p = abs(p)
-    return _trusted(LensSpace, p=p, q=1 if p <= 1 else min(q_orbit(p, q)))
+    return _lens_space(p, 1 if p <= 1 else min(q_orbit(p, q)))
 
 
 def q_orbit(p: int, q: int) -> tuple:
@@ -85,7 +119,7 @@ def is_homeomorphic(a: LensSpace, b: LensSpace) -> bool:
     return a == b or normalize(a.p, a.q) == normalize(b.p, b.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slope:
     """A surgery slope p/q in lowest terms with q >= 0; q = 0 is infinity."""
 
@@ -108,12 +142,12 @@ class Slope:
         if q == 0:
             if p == 0:
                 raise ValueError("slope 0/0 is indeterminate")
-            return _trusted(cls, p=1, q=0)
+            return INFINITY
         g = gcd(p, q)
         p, q = p // g, q // g
         if q < 0:
             p, q = -p, -q
-        return _trusted(cls, p=p, q=q)
+        return _slope(p, q)
 
     @classmethod
     def from_rational(cls, r) -> "Slope":
@@ -147,4 +181,5 @@ class Slope:
         return cls.make(int(num), int(den) if sep else 1)
 
 
+_slope = _trusted_builder(Slope)
 INFINITY = Slope(1, 0)

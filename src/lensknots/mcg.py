@@ -45,7 +45,7 @@ def trace(a):
 _SYLLABLE = re.compile(r"^([xy])(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MappingWord:
     """A word in the twists x, y as a tuple of (generator, exponent) syllables.
 

@@ -10,18 +10,8 @@ e_1..e_n with one relation per filled component i:
 Unfilled components contribute a free generator and no relation, so the
 same machinery computes the homology of the complement of any sublink.
 
-Construction rule: direct construction of a `FramedLink` or an
-`AbelianGroup`, `FramedLink.make` and the link-file parsers validate every
-field.  The producers whose own code makes their result valid skip that
-second check through `lenspaces._trusted`: `FramedLink.fill` and `unfill`
-(the linking matrix was checked with the source link, the index is checked,
-and the new coefficient goes through `_coerce_slope`), `unknot` and
-`whitehead` (a constant matrix, coefficients through `_coerce_slope`),
-`AbelianGroup.from_presentation` (after its row-length check; a Smith
-diagonal is a divisibility chain), `Slope.make` and `normalize` in
-`lenspaces`, and the monodromy of `families.instantiate`.  The tests
-rebuild every such value through `dataclasses.replace`, which runs the
-full check.
+Construction rule: see the `lenspaces` docstring, which lists the
+producers here that skip the dataclass check.
 """
 
 from __future__ import annotations
@@ -30,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .lenspaces import Slope, _trusted
+from .lenspaces import Slope, _trusted_builder
 from .snf import determinant, smith_normal_form
 
 # order of an infinite-order element or infinite group; with this encoding
@@ -48,7 +38,7 @@ def _coerce_slope(x):
     return Slope.from_rational(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbelianGroup:
     """Finitely generated abelian group: Z^rank + Z/d1 + ... (d1 | d2 | ...)."""
 
@@ -89,11 +79,13 @@ class AbelianGroup:
         if ngens < 0 or any(len(r) != ngens for r in rows):
             raise ValueError(f"need ngens >= 0 and {ngens} entries in every relation row")
         diag = smith_normal_form(rows)
-        return _trusted(cls, rank=ngens - len(diag),
-                        torsion=tuple(d for d in diag if d > 1))
+        return _group(ngens - len(diag), tuple(d for d in diag if d > 1))
 
 
-@dataclass(frozen=True)
+_group = _trusted_builder(AbelianGroup)
+
+
+@dataclass(frozen=True, slots=True)
 class FramedLink:
     """Linking matrix plus per-component filling coefficients.
 
@@ -146,22 +138,22 @@ class FramedLink:
             raise ValueError(f"no component {i!r} in a {n}-component link")
         coeffs = list(self.coefficients)
         coeffs[i] = _coerce_slope(coeff)
-        return _trusted(FramedLink, linking=self.linking, coefficients=tuple(coeffs),
-                        name=self.name)
+        return _link(self.linking, tuple(coeffs), self.name)
 
     def unfill(self, i) -> "FramedLink":
         return self.fill(i, None)
 
 
+_link = _trusted_builder(FramedLink)
+
+
 def unknot(coeff=UNFILLED) -> FramedLink:
-    return _trusted(FramedLink, linking=((0,),), coefficients=(_coerce_slope(coeff),),
-                    name="unknot")
+    return _link(((0,),), (_coerce_slope(coeff),), "unknot")
 
 
 def whitehead(a=UNFILLED, b=UNFILLED) -> FramedLink:
     """The Whitehead link: two components with linking number zero."""
-    return _trusted(FramedLink, linking=((0, 0), (0, 0)),
-                    coefficients=(_coerce_slope(a), _coerce_slope(b)), name="whitehead")
+    return _link(((0, 0), (0, 0)), (_coerce_slope(a), _coerce_slope(b)), "whitehead")
 
 
 def chain3(a=UNFILLED, b=UNFILLED, c=UNFILLED) -> FramedLink:

@@ -374,6 +374,24 @@ def test_only_the_outer_circles_are_traced(monkeypatch):
     assert len(cycles) >= 399 + 349 + 249
 
 
+def test_a_broken_pairing_stops_the_circle_walk(monkeypatch):
+    """A pairing whose circle never returns to its start slot fails after
+    one lap of the slots, with an explicit raise that python -O keeps,
+    instead of growing the walk's lists until memory runs out."""
+    cfg = ArcSystemConfig(2, 2, 1, 1, 0)
+    calls = []
+
+    def broken(cfg, m):
+        calls.append(m)
+        if len(calls) > 10 * cfg.num_slots:
+            raise RuntimeError("the circle walk is unbounded")
+        return 0
+
+    monkeypatch.setattr(ArcSystemConfig, "partner", broken)
+    with pytest.raises(AssertionError, match="does not close in 4 steps"):
+        faces(cfg)
+
+
 CONFIG_LINE = re.compile(r"s=(\d+) t=(\d+) arcs=\((\d+),(\d+),(\d+)\)")
 
 

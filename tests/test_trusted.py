@@ -1,18 +1,16 @@
 """Values built without a second __post_init__ check are valid.
 
-`Slope.make`, `normalize`, `AbelianGroup.from_presentation`,
-`FramedLink.fill`/`unfill`, `unknot`, `whitehead` and `instantiate`'s
-monodromy build their results through `lenspaces._trusted`, which skips
-the dataclass check.  `fatgraph.enumerate_configs` (and `iter_configs`),
-`faces` and `scharlemann_cycles` build their configurations, circles,
-regions, reports and cycles through `fatgraph._trusted_builder`, which
-skips the generated `__init__`.  `dataclasses.replace(v)` re-runs
-`__init__` and `__post_init__`, so it raises on an invalid value and
-equals a valid one.
+The producers that build their results with a `lenspaces._trusted_builder`
+builder, skipping the generated `__init__` and the dataclass check, are
+listed once, in the `lenspaces` docstring.  `dataclasses.replace(v)`
+re-runs `__init__` and `__post_init__`, so it raises on an invalid value
+and equals a valid one.
 """
 
 import collections
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -20,10 +18,10 @@ from math import gcd
 import pytest
 
 from lensknots import cli, fatgraph
-from lensknots.families import instantiate
+from lensknots.families import instantiate, verify
 from lensknots.fatgraph import (ArcSystemConfig, enumerate_configs, faces,
                                 scharlemann_cycles)
-from lensknots.lenspaces import LensSpace, Slope, normalize
+from lensknots.lenspaces import INFINITY, LensSpace, Slope, normalize
 from lensknots.mcg import MappingWord
 from lensknots.surgery import AbelianGroup, FramedLink, h1, unknot, whitehead
 
@@ -65,6 +63,7 @@ def test_slope_make_and_normalize_are_valid():
             assert_valid(normalize(p, q))
     for p, q in [(0, 1), (1, 5), (-1, 7), (2, -1), (7, 2), (-12, 5)]:
         assert_valid(normalize(p, q))
+    assert Slope.make(-5, 0) is INFINITY
 
 
 def test_from_presentation_is_valid():
@@ -157,15 +156,49 @@ def test_fatgraph_values_are_valid():
                           "ScharlemannCycle"}
 
 
-def test_fatgraph_values_stay_frozen():
+def fatgraph_samples():
+    """A configuration, report, circle, region and cycle off the builders."""
     cfg = enumerate_configs(2, 4)[-1]
     report = faces(cfg)
-    values = [cfg, report, report.circles[0], report.regions[0],
-              scharlemann_cycles(cfg)[0]]
+    return [cfg, report, report.circles[0], report.regions[0],
+            scharlemann_cycles(cfg)[0]]
+
+
+def checked_samples():
+    """A value of each CHECKED class from each producer that builds it."""
+    link = whitehead("-3", "5/2")
+    return [normalize(7, 2), Slope.make(-4, 6), Slope.make(3, 0),
+            AbelianGroup.from_presentation([[2, 4], [6, 8]], 2),
+            link.fill(0, "1/2"), link.unfill(1), unknot("-7/2"), link,
+            instantiate("I", 5).monodromy]
+
+
+def assert_frozen_slotted(value):
+    assert not hasattr(value, "__dict__"), type(value).__name__
+    for field in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, None)
+
+
+def test_fatgraph_values_stay_frozen():
+    for value in fatgraph_samples():
+        assert_frozen_slotted(value)
+
+
+def test_checked_values_are_slotted_and_stay_frozen():
+    values = checked_samples()
+    assert {type(v) for v in values} == set(CHECKED)
     for value in values:
-        for field in dataclasses.fields(value):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(value, field.name, None)
+        assert_frozen_slotted(value)
+
+
+def test_values_survive_pickle_and_deepcopy():
+    inst = instantiate("II", -3)
+    values = [*checked_samples(), *fatgraph_samples(), inst, verify(inst)]
+    assert len({type(v) for v in values}) == 12
+    for value in values:
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value
 
 
 def test_enumerate_configs_builds_only_what_it_returns(monkeypatch):
