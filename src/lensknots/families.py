@@ -124,7 +124,7 @@ class FamilyInstance:
         return self.monodromy is not None
 
     def to_dict(self):
-        return _rendered(self, lambda: {
+        return {
             "schema_version": 1,
             "family": self.family.value,
             "k": self.k,
@@ -137,7 +137,7 @@ class FamilyInstance:
             "monodromy": str(self.monodromy) if self.monodromy else None,
             "torus_type": list(self.torus_type) if self.torus_type else None,
             "grid_index": self.grid_index,
-        })
+        }
 
     @classmethod
     def from_dict(cls, d) -> "FamilyInstance":
@@ -223,7 +223,7 @@ class CheckResult:
         template, *values = self._detail
         try:
             return template.format(*values)
-        except Exception as exc:  # say a hand-made number past the digit limit
+        except Exception as exc:  # say a number past the digit limit
             return _exception_detail(exc)
 
 
@@ -267,11 +267,12 @@ def _check(name, fn, inst):
 
 
 def verify(inst: FamilyInstance) -> VerificationReport:
-    """Recompute every attribute of an instance by an independent route."""
-    # an atlas member's check details print no number longer than |p|, so a
-    # member past the digit limit raises here, before any check runs; the
-    # space's numbers are rendered, not the space, which a caller prints
-    label, _, _ = _rendered(inst, lambda: (_label(inst), str(inst.space.p), str(inst.space.q)))
+    """Recompute every attribute of an instance by an independent route.
+
+    Only the label is rendered here, so a parameter past Python's int-to-str
+    digit limit raises Python's ValueError; a detail is rendered when read.
+    """
+    label = _label(inst)
     # each check is looked up at call time, so a replaced one takes effect
     checks = (
         _check("homology", _check_homology, inst),
@@ -287,18 +288,6 @@ def verify(inst: FamilyInstance) -> VerificationReport:
 def _label(inst):
     param = f"k={inst.k}" if inst.k is not None else f"rq={inst.rq}"
     return f"{inst.family.value} {param}"
-
-
-def _rendered(inst, render):
-    """render(), or, when a number in it passes Python's int-to-str digit
-    limit (the one ValueError str() of an int raises), one ValueError that
-    names the family and the limit."""
-    try:
-        return render()
-    except ValueError:
-        raise ValueError(f"a member of family {inst.family.value} has a number past "
-                         "Python's int-to-str digit limit "
-                         "(sys.set_int_max_str_digits)") from None
 
 
 def _check_homology(inst):

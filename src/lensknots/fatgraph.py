@@ -127,23 +127,17 @@ class ArcSystemConfig:
         return "amber" if self.corner_side(g) == 0 else "blue"
 
 
-def parity_check_closed_form(cfg: ArcSystemConfig) -> bool:
-    """Whether every arc joins knot-point labels of opposite parity.
+def _parity_holds(e, counts):
+    """Whether every arc joins knot-point labels of opposite parity, from
+    E = s*t/2 and the multiplicities.
 
     This is the parity rule for intersection graphs of a knot meeting the
     torus coherently; configurations failing it cannot be realized and
     their corner colours are inconsistent.  In closed form it says E + n_X
-    is even for every nonempty bundle X, with E = s*t/2 the edge count:
-    nested pairing puts the ends of bundle-X arc j at slots whose sum is
-    E + n_X - 1, a constant, and for even t opposite label parity is
-    exactly opposite slot parity.
+    is even for every nonempty bundle X: nested pairing puts the ends of
+    bundle-X arc j at slots whose sum is E + n_X - 1, a constant, and for
+    even t opposite label parity is exactly opposite slot parity.
     """
-    return _parity_holds(cfg.num_edges, cfg.counts)
-
-
-def _parity_holds(e, counts):
-    """The parity rule on E = s*t/2 and the multiplicities: E + n is even
-    for every nonempty bundle of n arcs."""
     return all(n == 0 or (e + n) % 2 == 0 for n in counts)
 
 
@@ -355,17 +349,19 @@ def _label_pair(t, v):
     return frozenset({v + 1, (v + 1) % t + 1})
 
 
-def _disk_cycle(cfg, circle, pair):
-    """The Scharlemann cycle of a disk boundary whose corners all lie on
-    one knot segment v, or None; pair(v) is the label pair of segment v.
+def _disk_cycles(cfg, circle):
+    """The Scharlemann cycle of the circle, in a tuple of one, when it is
+    inessential (so bounds a disk) with every corner on one knot segment v;
+    otherwise ().
 
     corners[i] is the partner of out_slots[i] and out_slots[i+1] is
     corners[i] + 1 (mod s*t), so every edge then joins labels v+1 and v+2.
     """
     sides = {cfg.corner_side(g) for g in circle.corners}
-    if len(sides) != 1:
-        return None
-    return _cycle(circle.edges, circle.length, pair(sides.pop()), circle.color)
+    if circle.is_essential or len(sides) != 1:
+        return ()
+    return (_cycle(circle.edges, circle.length, _label_pair(cfg.t, sides.pop()),
+                   circle.color),)
 
 
 def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
@@ -380,24 +376,10 @@ def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
     steps, tail, _ = _outer_walk(cfg)
     t, e = cfg.t, cfg.num_edges
     half = t // 2
-    pairs = {}  # the label pair of each knot segment met, built once
-
-    def pair(v):
-        if v not in pairs:
-            pairs[v] = _label_pair(t, v)
-        return pairs[v]
-
     out = []
-
-    def outer_cycle(circle):
-        if not circle.is_essential:
-            found = _disk_cycle(cfg, circle, pair)
-            if found is not None:
-                out.append(found)
-
     for head, letter, n, b in steps:
         if head is not None:
-            outer_cycle(head)
+            out += _disk_cycles(cfg, head)
         # t divides E+n-2j only for an even E+n, and then exactly when
         # j = (E+n)/2 mod t/2
         if (e + n) % 2:
@@ -407,10 +389,10 @@ def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
         # the first corner moves down t/2 slots from one cycle to the next,
         # so the cycles alternate between two knot segments
         v = cfg.corner_side(e + b + n - 1 - first)
-        out += map(_cycle, edges, repeat(2), cycle((pair(v), pair((v + half) % t))),
-                   colors)
+        pairs = _label_pair(t, v), _label_pair(t, (v + half) % t)
+        out += map(_cycle, edges, repeat(2), cycle(pairs), colors)
     for circle in tail:
-        outer_cycle(circle)
+        out += _disk_cycles(cfg, circle)
     return tuple(out)
 
 
@@ -428,10 +410,7 @@ def iter_configs(t, max_parallel, require_max=False):
                 # c follows from a and b, so this loop order is (s, counts)
                 c = target - a - b
                 if 0 <= c <= b and _parity_holds(target, (a, b, c)):
-                    cfg = _config(s, t, a, b, c, 0)
-                    # the counts-level test is the public rule on the result
-                    assert parity_check_closed_form(cfg)
-                    yield cfg
+                    yield _config(s, t, a, b, c, 0)
 
 
 def enumerate_configs(t, max_parallel, require_max=False):

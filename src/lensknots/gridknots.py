@@ -21,11 +21,11 @@ from .lenspaces import q_orbit
 
 
 def grid1_order(n, r):
-    """Order of n times the core generator in H1(L(r,q)) = Z/r.
+    """Order of n times the core generator in H1(L(r,q)) = Z/r: r // gcd(n, r).
 
-    Returns r // gcd(n, r); r = 0 stands for S1xS2, where any n != 0 has
-    infinite order, encoded as 0.
-    """
+    r = 0 stands for S1xS2, where any n != 0 has infinite order, encoded as 0."""
+    if not (type(n) is type(r) is int):
+        raise ValueError(f"grid1_order needs ints n and r, got n={n!r}, r={r!r}")
     r = abs(r)
     if r == 0:
         return 1 if n == 0 else 0

@@ -97,12 +97,16 @@ class MappingWord:
 
 
 def evaluate(w):
-    """Matrix of a word (string, MappingWord, or already a matrix)."""
+    """Matrix of a word (string, MappingWord, or already a 2x2 int matrix
+    of determinant one); any other input raises ValueError."""
     if isinstance(w, str):
         w = MappingWord.parse(w)
     if isinstance(w, MappingWord):
         return w.matrix()
-    (a, b), (c, d) = w  # a wrong shape fails to unpack with ValueError
+    if not (type(w) in (tuple, list) and len(w) == 2
+            and all(type(row) in (tuple, list) and len(row) == 2 for row in w)):
+        raise ValueError(f"expected a word or a 2x2 matrix, got {type(w).__name__}")
+    (a, b), (c, d) = w
     if not all(type(v) is int for v in (a, b, c, d)) or a * d - b * c != 1:
         raise ValueError(f"matrix {w!r} must have integer entries and determinant one")
     return (a, b), (c, d)

@@ -285,7 +285,7 @@ def test_verify_check_exception_detail(monkeypatch, capsys, fake_pool, jobs):
 def test_passing_verify_renders_no_detail(monkeypatch, capsys):
     """A passing line prints the space and nothing of what the checks
     compared: the ok line renders the space once, verify renders only its
-    numbers, and _cmd_verify renders each family's two range ends.  The
+    label, and _cmd_verify renders each family's two range ends.  The
     reports still compare by value."""
     argv = ["verify", "--families", "all", "--k-range", "-20..20"]
     assert run(argv) == 0  # warm
@@ -543,6 +543,11 @@ LIBRARY_VALIDATIONS = {
     "verify-past-digit-limit": "from lensknots.families import instantiate, verify; "
                                "verify(instantiate('I', 10**5000))",
     "bool-matrix": "from lensknots.mcg import evaluate; evaluate(((True, 1), (0, True)))",
+    "none-classify": "from lensknots.mcg import classify; classify(None)",
+    "int-row-matrix": "from lensknots.mcg import evaluate; evaluate(((1, 0), 5))",
+    "bool-grid1_order": "from lensknots.gridknots import grid1_order; grid1_order(True, 5)",
+    "bool-r-grid1_order": "from lensknots.gridknots import grid1_order; grid1_order(2, True)",
+    "float-grid1_order": "from lensknots.gridknots import grid1_order; grid1_order(1.5, 5)",
     "float-config": "from lensknots.fatgraph import ArcSystemConfig; "
                     "ArcSystemConfig(1.0, 2, 1, 0, 0)",
     "bool-config": "from lensknots.fatgraph import ArcSystemConfig; "

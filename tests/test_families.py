@@ -199,24 +199,40 @@ def test_verify_catches_corruption():
 
 
 def test_member_past_digit_limit_raises_one_named_error(monkeypatch):
-    """The label and the space are rendered before any check runs, and
-    to_dict raises the same error, naming the family and the digit limit.
-    At k = 9 * 10**4299 the parameter fits in 4,300 digits and p = 6k-1
-    does not."""
+    """verify renders only the label, so a parameter past the digit limit
+    raises Python's own ValueError, which names sys.set_int_max_str_digits,
+    before any check runs; so does to_dict.  At k = 9 * 10**4299 the
+    parameter fits in 4,300 digits and p = 6k-1 does not: verify returns
+    the verdicts as computed, the details that print a number as long as p
+    read as the exception, and to_dict raises."""
+    named = r"^Exceeds the limit \(4300 digits\).*sys\.set_int_max_str_digits"
+    huge, big = instantiate("II", -10**5000), instantiate("I", 9 * 10**4299)
     checked = []
-    monkeypatch.setattr(families, "_check", lambda name, fn, inst: checked.append(name))
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
     try:
-        for family, k in [("II", -10**5000), ("I", 9 * 10**4299)]:
-            inst = instantiate(family, k)
-            for call in (verify, FamilyInstance.to_dict):
-                with pytest.raises(ValueError, match=rf"^a member of family {family} has a "
-                                   r"number past Python's int-to-str digit limit"):
-                    call(inst)
+        sys.set_int_max_str_digits(0)  # no limit
+        want = verify(big)
+        rendered = [c.detail for c in want.checks]
+        sys.set_int_max_str_digits(4300)
+        report = verify(big)
+        details = [c.detail for c in report.checks]
+        for inst in (huge, big):
+            with pytest.raises(ValueError, match=named):
+                inst.to_dict()
+        monkeypatch.setattr(families, "_check", lambda name, fn, inst: checked.append(name))
+        with pytest.raises(ValueError, match=named):
+            verify(huge)
     finally:
         sys.set_int_max_str_digits(limit)
     assert checked == []
+    assert report == want and report.ok
+    long = {"homology", "core_order", "grid", "linking_form"}
+    for check, detail, full in zip(report.checks, details, rendered):
+        if check.name in long:
+            assert len(full) > 4300, check.name
+            assert detail.startswith("exception: ValueError('Exceeds the limit"), detail
+        else:
+            assert detail == full, check.name
 
 
 def test_unrenderable_detail_reads_as_its_error():

@@ -9,9 +9,8 @@ from hypothesis import given, strategies as st
 from lensknots import fatgraph
 from lensknots.cli import run
 from lensknots.fatgraph import (BUNDLE_ORDER, CLASSES, ArcSystemConfig, Circle,
-                                FaceReport, Region, ScharlemannCycle,
-                                enumerate_configs, faces,
-                                parity_check_closed_form, scharlemann_cycles)
+                                FaceReport, Region, ScharlemannCycle, _parity_holds,
+                                enumerate_configs, faces, scharlemann_cycles)
 
 DATA = pathlib.Path(__file__).parent / "data" / "figure_faces.json"
 
@@ -23,7 +22,7 @@ def label(cfg, m):
 
 def parity_check(cfg):
     """The parity rule arc by arc: every arc joins knot-point labels of
-    opposite parity.  The oracle for parity_check_closed_form."""
+    opposite parity.  The oracle for _parity_holds."""
     return all(label(cfg, m) % 2 != label(cfg, cfg.partner(m)) % 2
                for m in range(cfg.num_slots))
 
@@ -77,7 +76,7 @@ def all_configs(max_edges=10, ts=(2, 4)):
 
 def test_parity_closed_form_agrees():
     for cfg in all_configs():
-        assert parity_check(cfg) == parity_check_closed_form(cfg), cfg
+        assert parity_check(cfg) == _parity_holds(cfg.num_edges, cfg.counts), cfg
 
 
 def test_face_structure_invariants():
@@ -190,6 +189,17 @@ def test_enumeration():
         for require_max in (False, True):
             configs = enumerate_configs(t, 8, require_max=require_max)
             assert configs == sorted(configs, key=lambda c: (c.s, c.counts))
+    # complete: a canonical configuration with bundles of at most M arcs
+    # (exactly M for the largest, with require_max) is enumerated exactly
+    # when the arc-by-arc oracle passes it; such a configuration has at
+    # most 3M arcs, and all_configs lists them in (s, counts) order too
+    for t in (2, 4, 6):
+        admissible = [cfg for cfg in all_configs(max_edges=3 * 8, ts=(t,))
+                      if cfg.n_a >= cfg.n_b >= cfg.n_c and parity_check(cfg)]
+        for m in range(1, 9):
+            assert enumerate_configs(t, m) == [c for c in admissible if c.n_a <= m]
+            assert enumerate_configs(t, m, require_max=True) == [
+                c for c in admissible if c.n_a == m]
 
 
 def test_region_length_is_for_disks():
@@ -322,7 +332,7 @@ def test_tables_agree_with_scan_reference(cfg):
     assert report == ref
     assert scharlemann_cycles(cfg) == ref_scharlemann_cycles(ref)
     assert ref_scharlemann_cycles(report) == scharlemann_cycles(cfg)
-    assert parity_check(cfg) == parity_check_closed_form(cfg)
+    assert parity_check(cfg) == _parity_holds(cfg.num_edges, cfg.counts)
 
 
 def test_closed_form_agrees_with_scan_reference_exhaustively():
@@ -330,7 +340,7 @@ def test_closed_form_agrees_with_scan_reference_exhaustively():
     offset: parity failures and empty or single-arc bundles included."""
     seen = {"parity fails": 0, "empty bundle": 0, "single arc": 0}
     for base in all_configs(max_edges=12, ts=(2, 4, 6)):
-        seen["parity fails"] += not parity_check_closed_form(base)
+        seen["parity fails"] += not _parity_holds(base.num_edges, base.counts)
         seen["empty bundle"] += 0 in base.counts
         seen["single arc"] += 1 in base.counts
         for offset in range(base.t):
