@@ -57,14 +57,8 @@ def _render_instance(inst):
 
 
 def _cmd_family(args):
-    if args.id == "VI":
-        if args.r is None or args.q is None or args.k is not None:
-            raise ValueError("family VI takes --r and --q instead of --k")
-        inst = instantiate("VI", rq=(args.r, args.q))
-    else:
-        if args.k is None or args.r is not None or args.q is not None:
-            raise ValueError(f"family {args.id} takes --k")
-        inst = instantiate(args.id, k=args.k)
+    rq = None if args.r is None and args.q is None else (args.r, args.q)
+    inst = instantiate(args.id, k=args.k, rq=rq)
     if args.json:
         print(json.dumps(inst.to_dict(), indent=2, sort_keys=True))
     else:

@@ -48,7 +48,7 @@ class FamilyId(enum.Enum):
     VI = "VI"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyForm:
     """Closed forms of one knotted family, all linear in the parameter k.
 
@@ -106,7 +106,7 @@ def _form(family, k) -> FamilyForm:
     return form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyInstance:
     family: FamilyId
     k: object          # nonzero int for I-V, None for VI
@@ -179,7 +179,7 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
     family = _as_family(family)
     if family is FamilyId.VI:
         if k is not None or type(rq) not in (tuple, list) or [*map(type, rq)] != [int, int]:
-            raise ValueError("family VI takes rq = (r, q), a pair of integers, not k")
+            raise ValueError("family VI takes a pair of integers r and q, and no k")
         r, q = rq
         if gcd(r, q) != 1 or abs(r) == 1:
             raise ValueError(f"family VI needs coprime (r,q) with |r| != 1, got {rq}")
@@ -192,7 +192,7 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
             monodromy=None,
             grid_index=1, torus_type=None)
     if rq is not None:
-        raise ValueError(f"family {family.value} takes k, not rq")
+        raise ValueError(f"family {family.value} takes k, not r and q")
     form = _form(family, k)
     fibered = not form.sporadic or abs(k) == 1
     return FamilyInstance(
@@ -208,7 +208,7 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
 
 # --- the verification battery ------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """A check's verdict, and the values its detail is written from: the
     detail is formatted only when it is read, and two results of the same
@@ -227,7 +227,7 @@ class CheckResult:
             return _exception_detail(exc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     label: str
     checks: tuple
@@ -381,7 +381,7 @@ def _is_torus_type(da, db):
 
 # --- the filling table -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FillingTableRow:
     """One lens-space filling: of the Whitehead link, or the unknot's -r/q."""
 

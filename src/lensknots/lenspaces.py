@@ -18,9 +18,10 @@ it with a builder of `_trusted_builder`, made once per class at import,
 which skips the generated `__init__` and the `__post_init__` check.  They
 are exactly these:
 
-- `normalize` and `Slope.make`, after their type and gcd checks: the gcd
-  reduction and the orbit minimum make the fields valid, and
-  `Slope.make(p, 0)` returns `INFINITY`;
+- `normalize` and `Slope.make`, after the input rule each shares with
+  direct construction (`_check_lens` for `LensSpace`, `_check_slope` for
+  `Slope`): the gcd reduction and the orbit minimum make the fields
+  valid, and `Slope.make(p, 0)` returns `INFINITY`;
 - `surgery.AbelianGroup.from_presentation`, after its row-length check:
   a Smith diagonal is a divisibility chain;
 - `surgery.FramedLink.fill` and `unfill` (the linking matrix was checked
@@ -63,6 +64,14 @@ def _trusted_builder(cls):
     return env["build"]
 
 
+def _check_lens(p, q):
+    """The rule of L(p,q), for LensSpace and normalize: coprime ints."""
+    if type(p) is not int or type(q) is not int:
+        raise ValueError(f"L({p!r},{q!r}): p and q must be ints")
+    if gcd(p, q) != 1:
+        raise ValueError(f"L({p},{q}): p and q must be coprime")
+
+
 @dataclass(frozen=True, slots=True)
 class LensSpace:
     """L(p,q), not necessarily in canonical form; p, q are ints with gcd 1."""
@@ -71,10 +80,7 @@ class LensSpace:
     q: int
 
     def __post_init__(self):
-        if type(self.p) is not int or type(self.q) is not int:
-            raise ValueError(f"L({self.p!r},{self.q!r}): p and q must be ints")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"L({self.p},{self.q}): p and q must be coprime")
+        _check_lens(self.p, self.q)
 
     @property
     def order(self):
@@ -100,10 +106,7 @@ def normalize(p: int, q: int) -> LensSpace:
     {q, -q, q^{-1}, -q^{-1}} mod |p|; for |p| <= 1 the space is S3 or S1xS2
     and q is set to 1.
     """
-    if type(p) is not int or type(q) is not int:
-        raise ValueError(f"L({p!r},{q!r}): p and q must be ints")
-    if gcd(p, q) != 1:
-        raise ValueError(f"L({p},{q}): p and q must be coprime")
+    _check_lens(p, q)
     p = abs(p)
     return _lens_space(p, 1 if p <= 1 else min(q_orbit(p, q)))
 
@@ -119,6 +122,14 @@ def is_homeomorphic(a: LensSpace, b: LensSpace) -> bool:
     return a == b or normalize(a.p, a.q) == normalize(b.p, b.q)
 
 
+def _check_slope(p, q):
+    """The rule of a slope p/q, for Slope and Slope.make: ints, not 0/0."""
+    if type(p) is not int or type(q) is not int:
+        raise ValueError(f"slope {p!r}/{q!r}: p and q must be ints")
+    if p == q == 0:
+        raise ValueError("slope 0/0 is indeterminate")
+
+
 @dataclass(frozen=True, slots=True)
 class Slope:
     """A surgery slope p/q in lowest terms with q >= 0; q = 0 is infinity."""
@@ -127,21 +138,15 @@ class Slope:
     q: int
 
     def __post_init__(self):
-        if type(self.p) is not int or type(self.q) is not int:
-            raise ValueError(f"slope {self.p!r}/{self.q!r}: p and q must be ints")
-        if (self.p, self.q) == (0, 0):
-            raise ValueError("slope 0/0 is indeterminate")
+        _check_slope(self.p, self.q)
         if self.q < 0 or gcd(self.p, self.q) != 1 or (self.q == 0 and self.p != 1):
             raise ValueError(f"slope {self.p}/{self.q} not in canonical form")
 
     @classmethod
     def make(cls, p, q) -> "Slope":
         """Reduce p/q to canonical form; (p,q) and (-p,-q) give the same slope."""
-        if type(p) is not int or type(q) is not int:
-            raise ValueError(f"slope {p!r}/{q!r}: p and q must be ints")
+        _check_slope(p, q)
         if q == 0:
-            if p == 0:
-                raise ValueError("slope 0/0 is indeterminate")
             return INFINITY
         g = gcd(p, q)
         p, q = p // g, q // g

@@ -118,7 +118,7 @@ class NTClass(enum.Enum):
     PSEUDO_ANOSOV = "pseudo-Anosov"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusMapClass:
     kind: NTClass
     trace: int

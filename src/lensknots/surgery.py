@@ -46,12 +46,13 @@ class AbelianGroup:
     torsion: tuple
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {self.rank}")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError(f"torsion coefficients must be at least 2, got {self.torsion}")
-        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
-            raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
+        if type(self.rank) is not int or self.rank < 0:
+            raise ValueError(f"rank must be a nonnegative int, got {self.rank!r}")
+        torsion = self.torsion
+        if type(torsion) is not tuple or any(type(d) is not int or d < 2 for d in torsion):
+            raise ValueError(f"torsion must be a tuple of ints at least 2, got {torsion!r}")
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
+            raise ValueError(f"torsion {torsion} is not a divisibility chain")
 
     def order(self):
         if self.rank > 0:
@@ -76,8 +77,8 @@ class AbelianGroup:
     @classmethod
     def from_presentation(cls, rows, ngens) -> "AbelianGroup":
         """Cokernel of the relation rows inside Z^ngens."""
-        if ngens < 0 or any(len(r) != ngens for r in rows):
-            raise ValueError(f"need ngens >= 0 and {ngens} entries in every relation row")
+        if type(ngens) is not int or ngens < 0 or any(len(r) != ngens for r in rows):
+            raise ValueError(f"need int ngens >= 0 and {ngens!r} entries in every relation row")
         diag = smith_normal_form(rows)
         return _group(ngens - len(diag), tuple(d for d in diag if d > 1))
 
@@ -133,9 +134,7 @@ class FramedLink:
 
     def fill(self, i, coeff) -> "FramedLink":
         """Replace component i's coefficient (None removes the filling)."""
-        n = self.num_components
-        if type(i) is not int or not 0 <= i < n:
-            raise ValueError(f"no component {i!r} in a {n}-component link")
+        _check_component(self, i)
         coeffs = list(self.coefficients)
         coeffs[i] = _coerce_slope(coeff)
         return _link(self.linking, tuple(coeffs), self.name)
@@ -145,6 +144,14 @@ class FramedLink:
 
 
 _link = _trusted_builder(FramedLink)
+
+
+def _check_component(link, i):
+    """The number of components of link, once i is the index of one."""
+    n = len(link.linking)
+    if type(i) is not int or not 0 <= i < n:
+        raise ValueError(f"no component {i!r} in a {n}-component link")
+    return n
 
 
 def unknot(coeff=UNFILLED) -> FramedLink:
@@ -191,9 +198,7 @@ def core_order(link: FramedLink, i: int):
     |det| of the square presentation; only when det = 0 does H1 itself
     need a Smith form, to compare ranks.
     """
-    n = link.num_components
-    if type(i) is not int or not 0 <= i < n:
-        raise ValueError(f"no component {i!r} in a {n}-component link")
+    n = _check_component(link, i)
     if link.coefficients[i] is None:
         raise ValueError(f"component {i} is not filled")
     if any(c is None for c in link.coefficients):
@@ -221,9 +226,7 @@ def blow_down(link: FramedLink, c: int) -> FramedLink:
     eps*lk(c,i)*lk(c,j) off-diagonal.  Infinite and absent coefficients are
     untouched in value (infinity stays infinity, unfilled stays unfilled).
     """
-    n = link.num_components
-    if type(c) is not int or not 0 <= c < n:
-        raise ValueError(f"no component {c!r} in a {n}-component link")
+    n = _check_component(link, c)
     coeff = link.coefficients[c]
     if coeff is None or coeff.q != 1 or abs(coeff.p) != 1:
         raise ValueError(f"component {c} is not (+1)- or (-1)-framed")

@@ -49,12 +49,30 @@ def test_family_json_round_trip(capsys):
     assert FamilyInstance.from_dict(json.loads(out)) == instantiate("III", -2)
 
 
-def test_family_flag_mismatches(capsys):
-    assert run(["family", "--id", "I"]) == 2
-    assert run(["family", "--id", "VI", "--k", "3"]) == 2
-    assert run(["family", "--id", "I", "--k", "1", "--r", "5"]) == 2
-    _, err = out_of(capsys)
-    assert "error:" in err
+# family flags, and the k and rq instantiate gets from them
+FAMILY_MISUSE = [
+    (["--id", "VI", "--k", "3"], 3, None),
+    (["--id", "VI", "--r", "7"], None, (7, None)),
+    (["--id", "VI", "--q", "2"], None, (None, 2)),
+    (["--id", "I"], None, None),
+    (["--id", "III"], None, None),
+    (["--id", "I", "--k", "1", "--r", "5"], 1, (5, None)),
+    (["--id", "I", "--k", "1", "--q", "3"], 1, (None, 3)),
+    (["--id", "VI", "--r", "4", "--q", "2"], None, (4, 2)),
+]
+
+
+@pytest.mark.parametrize("flags, k, rq", FAMILY_MISUSE,
+                         ids=[" ".join(flags) for flags, _, _ in FAMILY_MISUSE])
+def test_family_misuse_reports_instantiate_error(capsys, flags, k, rq):
+    """`family` has no rule of its own: a bad flag set gets the error that
+    instantiate raises for the same k and rq."""
+    with pytest.raises(ValueError) as raised:
+        instantiate(flags[1], k=k, rq=rq)
+    assert run(["family", *flags]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == f"error: {raised.value}\n"
 
 
 def test_verify_small_range(capsys):
@@ -524,6 +542,18 @@ LIBRARY_VALIDATIONS = {
                          "AbelianGroup.from_presentation([[2]], 2)",
     "from_presentation-negative-ngens": "from lensknots.surgery import AbelianGroup; "
                                         "AbelianGroup.from_presentation([], -1)",
+    "float-ngens-from_presentation": "from lensknots.surgery import AbelianGroup; "
+                                     "AbelianGroup.from_presentation([[2, 0]], 2.0)",
+    "float-rank-AbelianGroup": "from lensknots.surgery import AbelianGroup; "
+                               "AbelianGroup(1.5, ())",
+    "float-torsion-AbelianGroup": "from lensknots.surgery import AbelianGroup; "
+                                  "AbelianGroup(0, (2.5,))",
+    "bool-rank-AbelianGroup": "from lensknots.surgery import AbelianGroup; "
+                              "AbelianGroup(True, ())",
+    "list-torsion-AbelianGroup": "from lensknots.surgery import AbelianGroup; "
+                                 "AbelianGroup(0, [2, 4])",
+    "str-rank-AbelianGroup": "from lensknots.surgery import AbelianGroup; "
+                             "AbelianGroup('1', ())",
     "Region.length": "from lensknots.fatgraph import ArcSystemConfig, faces; "
                      "faces(ArcSystemConfig(2, 2, 2, 0, 0)).annuli[0].length",
     "bool-linking": "from lensknots.surgery import FramedLink; "

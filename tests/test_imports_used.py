@@ -21,6 +21,11 @@ any attribute of that name is read, so `VerificationReport.to_dict`
 passes on the strength of `FamilyInstance.to_dict` in `cli`, and a
 benchmark metric name such as "fatgraph.parity_check.calls" counts as a
 read of `parity_check`.
+
+Error messages: each `raise ValueError(<message>)` of those modules whose
+message is a string or an f-string is keyed by its constant text, with
+every substitution read as `{}`.  Two raise sites with one key state one
+input rule twice; the rule belongs in one helper that both call.
 """
 
 import ast
@@ -87,6 +92,35 @@ def names_read(tree):
     return out
 
 
+def value_error_templates(tree):
+    """(template, line) of each `raise ValueError(<str or f-string>)`, in
+    line order."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and isinstance(node.exc.func, ast.Name)
+                and node.exc.func.id == "ValueError" and node.exc.args):
+            continue
+        msg = node.exc.args[0]
+        if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+            out.append((msg.value, node.lineno))
+        elif isinstance(msg, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                           for v in msg.values)
+            out.append((text, node.lineno))
+    return sorted(out, key=lambda site: site[1])
+
+
+def duplicated_templates(sources):
+    """{template: [site, ...]} for each template raised at two or more of
+    the sites of the (name, tree) pairs."""
+    sites = {}
+    for name, tree in sources:
+        for text, line in value_error_templates(tree):
+            sites.setdefault(text, []).append(f"{name}:{line}")
+    return {text: where for text, where in sites.items() if len(where) > 1}
+
+
 def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -111,6 +145,21 @@ def test_unread_public_name_is_caught():
     assert public_defs(tree) == ["f", "K", "A", "C", "C.m"]
     reads = names_read(ast.parse("f()\nx.m\n'mod.C.other'\n'not a name'\nK = 2\n"))
     assert {"f", "x", "m", "mod", "C", "other"} == reads
+
+
+def test_duplicated_message_is_caught():
+    a = ast.parse('def f(x):\n    raise ValueError(f"bad {x!r}: no")\n'
+                  'def g(y):\n    raise ValueError(f"bad {y}: no")\n'
+                  '    raise ValueError("bad")\n    raise TypeError("bad")\n')
+    b = ast.parse('raise ValueError("bad")\nraise ValueError(message)\n'
+                  'raise ValueError(f"bad {1}: yes")\n')
+    assert value_error_templates(b) == [("bad", 1), ("bad {}: yes", 3)]
+    assert duplicated_templates([("a", a), ("b", b)]) == {
+        "bad {}: no": ["a:2", "a:4"], "bad": ["a:5", "b:1"]}
+
+
+def test_each_value_error_message_written_once():
+    assert duplicated_templates((p.name, parse(p)) for p in MODULES) == {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

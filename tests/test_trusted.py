@@ -10,13 +10,16 @@ and equals a valid one.
 import collections
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import lensknots
 from lensknots import cli, fatgraph
 from lensknots.families import instantiate, verify
 from lensknots.fatgraph import (ArcSystemConfig, enumerate_configs, faces,
@@ -190,6 +193,21 @@ def test_checked_values_are_slotted_and_stay_frozen():
     assert {type(v) for v in values} == set(CHECKED)
     for value in values:
         assert_frozen_slotted(value)
+
+
+def test_every_dataclass_is_frozen_and_slotted():
+    """Every dataclass a lensknots module defines, value class or not; the
+    package's __main__ is skipped, since importing it runs the CLI."""
+    defined = [obj for info in pkgutil.iter_modules(lensknots.__path__)
+               if not info.name.startswith("_")
+               for module in [importlib.import_module(f"lensknots.{info.name}")]
+               for obj in vars(module).values()
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+               and obj.__module__ == module.__name__]
+    assert {cls.__name__ for cls in CHECKED} < {cls.__name__ for cls in defined}
+    loose = [cls.__name__ for cls in defined
+             if not cls.__dataclass_params__.frozen or "__slots__" not in vars(cls)]
+    assert loose == []
 
 
 def test_values_survive_pickle_and_deepcopy():

@@ -9,10 +9,18 @@ change is deliberate, rewrite the file with
     PYTHONPATH=src python tests/test_verify_reports.py
 
 and record the change in CHANGES.md.
+
+An exception detail ends with the function, file and line that raised it.
+The comparison reads every line number there as N, so editing a module
+moves no golden line; `test_exception_details_name_a_raise_line` checks
+instead that each line is a `raise` in the named function.
 """
 
 import dataclasses
+import importlib
+import inspect
 import json
+import re
 from pathlib import Path
 
 from lensknots import surgery
@@ -48,12 +56,31 @@ def report_lines():
     return [json.dumps(verify(inst).to_dict(), sort_keys=True) for inst in instances()]
 
 
+# "in <function> (<module>.py:<line>)" at the end of an exception detail
+WHERE = re.compile(r"in (\w+) \((\w+)\.py:(\d+)\)")
+
+
+def mask_lines(text):
+    return WHERE.sub(lambda m: f"in {m[1]} ({m[2]}.py:N)", text)
+
+
 def test_reports_match_golden():
-    want = GOLDEN.read_text().splitlines()
-    got = report_lines()
+    want = [mask_lines(line) for line in GOLDEN.read_text().splitlines()]
+    got = [mask_lines(line) for line in report_lines()]
     assert len(got) == len(want)
     for i, (line, golden) in enumerate(zip(got, want)):
         assert line == golden, i
+
+
+def test_exception_details_name_a_raise_line():
+    places = {m.groups() for inst in instances() for check in verify(inst).checks
+              for m in WHERE.finditer(check.detail)}
+    assert places  # the hand-made LensSpace(1, 1) has one
+    for function, module, line in places:
+        source = getattr(importlib.import_module(f"lensknots.{module}"), function)
+        lines, start = inspect.getsourcelines(source)
+        assert start <= int(line) < start + len(lines), (function, line)
+        assert lines[int(line) - start].lstrip().startswith("raise "), (function, line)
 
 
 if __name__ == "__main__":
