@@ -96,9 +96,9 @@ _SPAN_CAP = 256
 
 # The fewest instances a forked worker must get to pay for its fork: a
 # worker gets at least one full span.  The latest sweep on two vCPUs (see
-# README) has `--jobs 2` first beat one process at 750-1,000 instances,
-# 375-500 per worker, so ranges of 512 to about 1,000 instances still fork
-# a pool that does not pay for itself; the value waits for a re-measure.
+# README) has `--jobs 2` first beat one process at 500-750 instances,
+# 250-375 per worker, so the smallest range that forks, 512 instances,
+# runs at about break-even.
 _WORKER_MIN = _SPAN_CAP
 
 
@@ -225,7 +225,7 @@ def _cmd_grid(args):
         return 1
     qdot, seq = found
     print(f"witness qdot={qdot}")
-    print("sequence: " + " ".join(str(v) for v in seq))
+    print("sequence:", *seq)
     return 0
 
 
@@ -284,17 +284,18 @@ def _build_parser():
 
 
 def _glue_range_values(argv):
-    """Join "--k-range -20..20" into one token.
+    """Join "--k-range -20..20" into one token, "--k-range=-20..20".
 
     argparse would otherwise read the value as an option string, since a
-    range starting with a negative number begins with a dash.
+    range starting with a negative number begins with a dash.  The value is
+    known by its shape, a dash, a digit and "..", so an option abbreviated
+    as argparse allows, like "--k -20..20", is joined too.
     """
     out = []
-    tokens = iter(argv)
-    for tok in tokens:
-        if tok == "--k-range":
-            val = next(tokens, None)
-            out.append(tok if val is None else f"{tok}={val}")
+    for tok in argv:
+        if (tok[:1] == "-" and tok[1:2].isdigit() and ".." in tok and out
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out

@@ -248,12 +248,12 @@ class VerificationReport:
 
 def _exception_detail(exc):
     """The exception, and the function, file and line that raised it."""
-    tb = exc.__traceback__
-    while tb.tb_next is not None:
-        tb = tb.tb_next
-    code = tb.tb_frame.f_code
-    where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno}"
-    return f"exception: {exc!r} in {code.co_name} ({where})"
+    # imported here: only a failure needs it
+    import traceback
+
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+    return f"exception: {exc!r} in {frame.name} ({where})"
 
 
 def _check(name, fn, inst):

@@ -50,14 +50,15 @@ def torus_knot_sequence(r, qdot, da, db):
     """
     _check_grid(r, qdot, da, db)
     # the da + db - 1 interior residues must be distinct and nonzero mod r,
-    # and the last one must be 0; check both before building the list
-    if da + db > r or (da + db * qdot) % r:
+    # and the last one must be 0.  Once da + db <= r, the first da of them
+    # are 1..da, and the other db - 1, da + i*qdot for 0 < i < db, are
+    # distinct since qdot is a unit; so the strands embed unless one of
+    # those lands in 0..da.  All is decided before any list is built.
+    if (da + db > r or (da + db * qdot) % r
+            or any((da + i * qdot) % r <= da for i in range(1, db))):
         return None
     seq = list(range(da + 1))
     seq.extend((da + i * qdot) % r for i in range(1, db + 1))
-    interior = seq[1:-1]
-    if 0 in interior or len(set(interior)) != len(interior):
-        return None
     return seq
 
 

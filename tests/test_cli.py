@@ -333,6 +333,26 @@ def test_verify_usage_errors(capsys):
     assert out == "" and err.count("error:") == 5
 
 
+@pytest.mark.parametrize("flag", ["--k-range", "--k-ran", "--k"])
+def test_negative_range_after_abbreviated_flag(capsys, flag):
+    """argparse takes any unambiguous prefix of --k-range; a value that
+    starts with a negative number is joined to each of them."""
+    assert run(["verify", "--families", "I", "--k-range=-2..2"]) == 0
+    want, _ = out_of(capsys)
+    assert run(["verify", "--families", "I", flag, "-2..2"]) == 0
+    out, err = out_of(capsys)
+    assert out == want and want.endswith("checked 4 instances: all ok\n")
+    assert err == ""
+
+
+def test_negative_k_is_not_joined(capsys):
+    assert cli._glue_range_values(["family", "--id", "I", "--k", "-3"]) == [
+        "family", "--id", "I", "--k", "-3"]
+    assert run(["family", "--id", "I", "--k", "-3"]) == 0
+    out, _ = out_of(capsys)
+    assert out == cli._render_instance(instantiate("I", -3)) + "\n"
+
+
 def test_verify_reversed_range(capsys):
     assert run(["verify", "--k-range", "5..1"]) == 2
     out, err = out_of(capsys)
@@ -681,12 +701,9 @@ def test_grid_failure_and_usage(capsys):
     assert out.strip() == "FAILURE"
 
 
-def test_grid_huge_da_under_memory_limit():
-    """A path longer than r fails by pigeonhole before any list is built.
-
-    Runs in a child limited to 400 MB of address space, so the parent test
-    process never builds a list of this size.
-    """
+def grid_under_memory_limit(*args):
+    """`grid` run in a child limited to 400 MB of address space, so the
+    parent test process never builds a list of the candidate's size."""
     resource = pytest.importorskip("resource")
     limit = 400 * 1024 * 1024
 
@@ -696,10 +713,26 @@ def test_grid_huge_da_under_memory_limit():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lensknots", "grid", "--r", "5", "--q", "1",
-         "--da", "100000000", "--db", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "lensknots", "grid", *args],
         capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap)
+
+
+def test_grid_huge_da_under_memory_limit():
+    """A path longer than r fails by pigeonhole before any list is built."""
+    proc = grid_under_memory_limit("--r", "5", "--q", "1", "--da", "100000000",
+                                   "--db", "1")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "FAILURE\n"
+    assert "Traceback" not in proc.stderr
+
+
+def test_grid_huge_colliding_candidate_under_memory_limit():
+    """Candidates that close up but whose strands collide are refused
+    residue by residue, in constant memory: five million residues per
+    candidate would not fit in the limit as a list and its set."""
+    proc = grid_under_memory_limit("--r", "5000011", "--q", "4285724", "--da", "2",
+                                   "--db", "5000004")
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == "FAILURE\n"
     assert "Traceback" not in proc.stderr

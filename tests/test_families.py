@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -437,6 +438,68 @@ def test_every_closed_form_field_is_mutated():
     counts = collections.Counter(case.values[1] for case in _mutants())
     assert counts == {"alpha": 6, "beta": 6, "p": 12, "q": 12, "core": 5, "s": 20,
                       "grid": 20, "torus": 20, "twists": 20, "sporadic": 5}
+
+
+def verify_fails_somewhere(fams):
+    """Whether verify fails a check, or instantiate raises, for some member
+    of the families with 0 < |k| <= 40."""
+    for fam in fams:
+        for k in [k for k in range(-40, 41) if k]:
+            try:
+                inst = instantiate(fam, k)
+            except ValueError:
+                return True
+            if not verify(inst).ok:
+                return True
+    return False
+
+
+def _mirror_mutants():
+    """Both entries of p, or of q, negated: the filling of the mirror space.
+    A filling is mutated in every family sharing it, and V's also alone."""
+    signed = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 11: linking_form checks the linking form only up to sign"))
+    order_two = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "V's core has order 2, so its self-linking is the same for both signs"))
+    groups = [(("I",), signed), (("II", "V"), signed), (("III", "IV"), signed),
+              (("V",), order_two)]
+    return [pytest.param(fams, field, id="+".join(fams) + f".{field}=-{field}", marks=mark)
+            for fams, mark in groups for field in ("p", "q")]
+
+
+@pytest.mark.parametrize("fams, field", _mirror_mutants())
+def test_verify_catches_mirror_mutant(monkeypatch, fams, field):
+    for fam in fams:
+        form = families._FORMS[FamilyId(fam)]
+        mirrored = tuple(-x for x in getattr(form, field))
+        monkeypatch.setitem(families._FORMS, FamilyId(fam),
+                            dataclasses.replace(form, **{field: mirrored}))
+    assert verify_fails_somewhere(fams)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: fibration compares H1 only, and x^n y and x^n y^-1 "
+    "give bundles with the same H1"))
+def test_verify_catches_inverted_monodromy_twist(monkeypatch):
+    """Every monodromy x^n y built as x^n y^-1."""
+    word = families._word
+    monkeypatch.setattr(families, "_word", lambda syllables: word(
+        tuple((g, -e if g == "y" else e) for g, e in syllables)))
+    if str(instantiate("I", 1).monodromy) != "x y^-1":
+        pytest.fail("the twist was not inverted")  # not an expected failure
+    assert verify_fails_somewhere(KNOTTED)
+
+
+def test_family_vi_linking_form_reads_q_inverse():
+    """The orientation convention of VI: -r/q surgery on the unknot has
+    p*lk(K,K) = q^-1 mod r, for every coprime (r, q) with 2 <= r <= 50 and
+    |q| <= 3r."""
+    cases = [(r, q) for r in range(2, 51) for q in range(-3 * r, 3 * r + 1)
+             if math.gcd(r, q) == 1]
+    assert len(cases) == 4638
+    for r, q in cases:
+        detail = linking_form(instantiate("VI", rq=(r, q))).detail
+        assert detail.startswith(f"p*lk(K,K) = {pow(q, -1, r)} mod {r},"), (r, q, detail)
 
 
 def test_gof_fillings():

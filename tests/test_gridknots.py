@@ -119,6 +119,20 @@ def test_sequence_matches_full_build(r, qdot, da, db):
         r, qdot, da, db)
 
 
+def test_sequence_matches_full_build_exhaustively():
+    """Every unit qdot in -r..r with 2 <= r <= 24 and 1 <= da, db <= r + 1:
+    the residues da + i*qdot, 0 < i < db, need no distinctness test."""
+    cases = 0
+    for r in range(2, 25):
+        for qdot in [q for q in range(-r, r + 1) if math.gcd(q, r) == 1]:
+            for da in range(1, r + 2):
+                for db in range(1, r + 2):
+                    assert torus_knot_sequence(r, qdot, da, db) == full_build_sequence(
+                        r, qdot, da, db), (r, qdot, da, db)
+                    cases += 1
+    assert cases == 118302
+
+
 @pytest.mark.parametrize("args", [
     (1, 1, 2, 3),   # r < 2
     (0, 1, 1, 1),
