@@ -102,13 +102,13 @@ _SPAN_CAP = 256
 _WORKER_MIN = _SPAN_CAP
 
 
-def _verify_one(fam, k):
-    """One (family, k) verification, rendered."""
+def _verify_one(family, k):
+    """One (FamilyId, k) verification, rendered."""
     try:
-        inst = instantiate(fam, k)
+        inst = instantiate(family, k)
         report = verify(inst)
     except Exception as exc:
-        return False, f"FAIL {fam} k={k}: {_exception_detail(exc)}"
+        return False, f"FAIL {family.value} k={k}: {_exception_detail(exc)}"
     if report.ok:
         return True, f"ok {report.label}: {inst.space}"
     bad = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
@@ -117,8 +117,10 @@ def _verify_one(fam, k):
 
 def _verify_span(fam, a, b):
     """The rendered verifications of one family for k in a..b, skipping 0;
-    top level so workers can run it."""
-    return [_verify_one(fam, k) for k in range(a, b + 1) if k != 0]
+    top level so workers can run it.  The family is resolved once here,
+    not once per instance."""
+    family = FamilyId(fam)
+    return [_verify_one(family, k) for k in range(a, b + 1) if k != 0]
 
 
 def _usable_cpus():

@@ -167,6 +167,9 @@ def _same(a, b):
 
 
 _word = _trusted_builder(MappingWord)
+# takes the fields in order: family, k, rq, space, surgery, core_index,
+# order_s, monodromy, grid_index, torus_type
+_instance = _trusted_builder(FamilyInstance)
 
 
 def instantiate(family, k=None, rq=None) -> FamilyInstance:
@@ -183,27 +186,19 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
         r, q = rq
         if gcd(r, q) != 1 or abs(r) == 1:
             raise ValueError(f"family VI needs coprime (r,q) with |r| != 1, got {rq}")
-        return FamilyInstance(
-            family=family, k=None, rq=(r, q),
-            space=normalize(r, q),
-            surgery=unknot(Slope.make(-r, q)),
-            core_index=0,
-            order_s=abs(r),
-            monodromy=None,
-            grid_index=1, torus_type=None)
+        return _instance(family, None, (r, q), normalize(r, q),
+                         unknot(Slope.make(-r, q)), 0, abs(r), None, 1, None)
     if rq is not None:
         raise ValueError(f"family {family.value} takes k, not r and q")
     form = _form(family, k)
     fibered = not form.sporadic or abs(k) == 1
-    return FamilyInstance(
-        family=family, k=k, rq=None,
-        space=_space(form, k),
-        surgery=whitehead(Slope.make(form.alpha, 1), Slope.make(form.beta * k + 1, k)),
-        core_index=form.core,
-        order_s=abs(_linear(form.s, k)),
-        monodromy=_word((("x", form.twists[k > 0]), ("y", 1))) if fibered else None,
-        grid_index=abs(_linear(form.grid, k)),
-        torus_type=form.torus if not form.sporadic or k == 1 else None)
+    return _instance(
+        family, k, None, _space(form, k),
+        whitehead(Slope.make(form.alpha, 1), Slope.make(form.beta * k + 1, k)),
+        form.core, abs(_linear(form.s, k)),
+        _word((("x", form.twists[k > 0]), ("y", 1))) if fibered else None,
+        abs(_linear(form.grid, k)),
+        form.torus if not form.sporadic or k == 1 else None)
 
 
 # --- the verification battery ------------------------------------------------
@@ -246,6 +241,10 @@ class VerificationReport:
         }
 
 
+_result = _trusted_builder(CheckResult)
+_report = _trusted_builder(VerificationReport)
+
+
 def _exception_detail(exc):
     """The exception, and the function, file and line that raised it."""
     # imported here: only a failure needs it
@@ -262,8 +261,8 @@ def _check(name, fn, inst):
     try:
         result = fn(inst)
     except Exception as exc:
-        return CheckResult(name, False, ("{}", _exception_detail(exc)))
-    return CheckResult(name, bool(result[0]), result[1:])
+        return _result(name, False, ("{}", _exception_detail(exc)))
+    return _result(name, bool(result[0]), result[1:])
 
 
 def verify(inst: FamilyInstance) -> VerificationReport:
@@ -282,7 +281,7 @@ def verify(inst: FamilyInstance) -> VerificationReport:
         _check("linking_form", _check_linking_form, inst),
         _check("torus_type", _check_torus_type, inst),
     )
-    return VerificationReport(label, checks)
+    return _report(label, checks)
 
 
 def _label(inst):

@@ -405,11 +405,16 @@ def iter_configs(t, max_parallel, require_max=False):
         raise ValueError(f"max_parallel must be an int of at least 1, got {max_parallel!r}")
     for s in range(1, 6 * max_parallel // t + 1):
         target = s * t // 2
-        for a in [max_parallel] if require_max else range(max_parallel + 1):
-            for b in range(a + 1):
-                # c follows from a and b, so this loop order is (s, counts)
+        # a >= b >= c >= 0 with a + b + c = E bounds a to ceil(E/3)..E and,
+        # given a, b to ceil((E-a)/2)..min(a, E-a); c follows from a and b,
+        # so this loop order is (s, counts)
+        a_range = range(-(-target // 3), min(max_parallel, target) + 1)
+        if require_max:
+            a_range = [max_parallel] if max_parallel in a_range else []
+        for a in a_range:
+            for b in range(-(-(target - a) // 2), min(a, target - a) + 1):
                 c = target - a - b
-                if 0 <= c <= b and _parity_holds(target, (a, b, c)):
+                if _parity_holds(target, (a, b, c)):
                     yield _config(s, t, a, b, c, 0)
 
 

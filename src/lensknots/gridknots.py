@@ -49,6 +49,11 @@ def torus_knot_sequence(r, qdot, da, db):
     grid; returns None otherwise.
     """
     _check_grid(r, qdot, da, db)
+    return _sequence(r, qdot, da, db)
+
+
+def _sequence(r, qdot, da, db):
+    """torus_knot_sequence once its arguments are checked."""
     # the da + db - 1 interior residues must be distinct and nonzero mod r,
     # and the last one must be 0.  Once da + db <= r, the first da of them
     # are 1..da, and the other db - 1, da + i*qdot for 0 < i < db, are
@@ -70,8 +75,9 @@ def find_torus_grid_witness(r, q, da, db):
     diagram.  Returns (qdot, sequence) for the first success, else None.
     """
     _check_grid(r, q, da, db)
+    # each member of the orbit is a unit mod r, so it is not checked again
     for qdot in q_orbit(r, q):
-        seq = torus_knot_sequence(r, qdot, da, db)
+        seq = _sequence(r, qdot, da, db)
         if seq is not None:
             return qdot, seq
     return None

@@ -27,7 +27,12 @@ are exactly these:
 - `surgery.FramedLink.fill` and `unfill` (the linking matrix was checked
   with the source link, the index is checked), `unknot` and `whitehead`
   (a constant matrix), whose coefficients go through `_coerce_slope`;
-- the monodromy `x^n y` of `families.instantiate`;
+- `families.instantiate`: the monodromy `x^n y`, and the
+  `FamilyInstance`, whose fields are closed forms or values built above;
+- `families.verify`: each `CheckResult` and the `VerificationReport`.
+  These two classes and `FamilyInstance` have no `__post_init__`, so
+  their builders skip only the frozen `__init__`'s `object.__setattr__`
+  per field;
 - `fatgraph.enumerate_configs` (and `iter_configs`), `faces` and
   `scharlemann_cycles`: the enumeration's loop bounds and its parity test
   on the counts make every configuration valid, and circles, regions,

@@ -196,7 +196,10 @@ def core_order(link: FramedLink, i: int):
     with column i dropped to quotient out e_i.  The order is |H1| over the
     order of that quotient, or INFINITE (0) when the rank drops.  |H1| is
     |det| of the square presentation; only when det = 0 does H1 itself
-    need a Smith form, to compare ranks.
+    need a Smith form, to compare ranks.  Orders and ranks are read
+    straight off the Smith diagonals, with no group built: a presentation
+    of ncols columns has rank ncols - len(diag), and the product of the
+    diagonal is the torsion's order, since its 1s change nothing.
     """
     n = _check_component(link, i)
     if link.coefficients[i] is None:
@@ -205,15 +208,15 @@ def core_order(link: FramedLink, i: int):
         raise ValueError("core_order needs a closed manifold: fill every component")
     rows = h1_presentation(link)
     others = rows[:i] + rows[i + 1:] + [link.linking[i]]
-    g2 = AbelianGroup.from_presentation([r[:i] + r[i + 1:] for r in others], n - 1)
+    diag2 = smith_normal_form([r[:i] + r[i + 1:] for r in others])
     det = determinant(rows)
-    if det:  # H1 is finite, and so is its quotient g2
-        order, rest = divmod(abs(det), math.prod(g2.torsion))
+    if det:  # H1 is finite, and so is its quotient
+        order, rest = divmod(abs(det), math.prod(diag2))
     else:
-        g = AbelianGroup.from_presentation(rows, n)
-        if g2.rank < g.rank:
+        diag = smith_normal_form(rows)
+        if n - 1 - len(diag2) < n - len(diag):  # the quotient's rank is lower
             return INFINITE
-        order, rest = divmod(math.prod(g.torsion), math.prod(g2.torsion))
+        order, rest = divmod(math.prod(diag), math.prod(diag2))
     assert rest == 0
     return order
 

@@ -202,6 +202,25 @@ def test_enumeration():
                 c for c in admissible if c.n_a == m]
 
 
+def unbounded_triples(t, m, require_max):
+    """(s, a, b, c) as the enumeration found them before its loop bounds:
+    every a up to m (or a = m) and every b up to a, c checked in the loop."""
+    for s in range(1, 6 * m // t + 1):
+        target = s * t // 2
+        for a in [m] if require_max else range(m + 1):
+            for b in range(a + 1):
+                c = target - a - b
+                if 0 <= c <= b and _parity_holds(target, (a, b, c)):
+                    yield s, a, b, c
+
+
+@pytest.mark.parametrize("t, m", [(2, 40), (2, 80), (4, 80), (6, 60)])
+def test_loop_bounds_keep_the_triples_and_their_order(t, m):
+    for require_max in (False, True):
+        got = [(c.s, *c.counts) for c in fatgraph.iter_configs(t, m, require_max)]
+        assert got == list(unbounded_triples(t, m, require_max)), require_max
+
+
 def test_region_length_is_for_disks():
     """An annulus has no polygon length; refused without assert."""
     report = faces(ArcSystemConfig(2, 2, 2, 0, 0))

@@ -21,7 +21,8 @@ import pytest
 
 import lensknots
 from lensknots import cli, fatgraph
-from lensknots.families import instantiate, verify
+from lensknots.families import (CheckResult, FamilyInstance, VerificationReport,
+                                 instantiate, verify)
 from lensknots.fatgraph import (ArcSystemConfig, enumerate_configs, faces,
                                 scharlemann_cycles)
 from lensknots.lenspaces import INFINITY, LensSpace, Slope, normalize
@@ -29,6 +30,8 @@ from lensknots.mcg import MappingWord
 from lensknots.surgery import AbelianGroup, FramedLink, h1, unknot, whitehead
 
 CHECKED = (Slope, LensSpace, FramedLink, AbelianGroup, MappingWord)
+# value classes with no check, which instantiate and verify build trusted
+UNCHECKED = (FamilyInstance, CheckResult, VerificationReport)
 
 
 def assert_valid(value):
@@ -49,6 +52,8 @@ def test_instances_are_valid(family):
                   inst.surgery.unfill(inst.core_index), h1(inst.surgery)]
         if inst.monodromy is not None:
             values.append(inst.monodromy)
+        report = verify(inst)
+        values += [inst, report, *report.checks]
         for value in values:
             assert_valid(value)
 
@@ -126,6 +131,30 @@ def test_warm_verify_runs_no_post_init(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("checked 200 instances: all ok\n")
 
 
+def count_inits(monkeypatch):
+    """The names of the UNCHECKED classes whose __init__ runs from here on."""
+    calls = []
+    for cls in UNCHECKED:
+        def counted(self, *args, init=cls.__init__, **kwargs):
+            calls.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def test_warm_verify_runs_no_init(monkeypatch, capsys):
+    """After a warm-up, verify builds its instances, check results and
+    reports without the generated __init__."""
+    argv = ["verify", "--families", "all", "--k-range", "-20..20"]
+    assert cli.run(argv) == 0
+    calls = count_inits(monkeypatch)
+    assert cli.run(argv) == 0
+    assert calls == []
+    assert capsys.readouterr().out.endswith("checked 200 instances: all ok\n")
+    CheckResult("grid", True, ("",))  # the count sees a direct construction
+    assert calls == ["CheckResult"]
+
+
 def test_warm_vi_instances_run_no_post_init(monkeypatch):
     """The unknot surgeries of family VI come off the unchecked path too."""
     instantiate("VI", rq=(7, 1))
@@ -176,6 +205,12 @@ def checked_samples():
             instantiate("I", 5).monodromy]
 
 
+def unchecked_samples():
+    """A value of each UNCHECKED class, off instantiate and verify."""
+    report = verify(instantiate("VI", rq=(7, 2)))
+    return [instantiate("IV", 1), report, report.checks[0]]
+
+
 def assert_frozen_slotted(value):
     assert not hasattr(value, "__dict__"), type(value).__name__
     for field in dataclasses.fields(value):
@@ -185,6 +220,13 @@ def assert_frozen_slotted(value):
 
 def test_fatgraph_values_stay_frozen():
     for value in fatgraph_samples():
+        assert_frozen_slotted(value)
+
+
+def test_unchecked_values_are_slotted_and_stay_frozen():
+    values = unchecked_samples()
+    assert {type(v) for v in values} == set(UNCHECKED)
+    for value in values:
         assert_frozen_slotted(value)
 
 
@@ -211,9 +253,8 @@ def test_every_dataclass_is_frozen_and_slotted():
 
 
 def test_values_survive_pickle_and_deepcopy():
-    inst = instantiate("II", -3)
-    values = [*checked_samples(), *fatgraph_samples(), inst, verify(inst)]
-    assert len({type(v) for v in values}) == 12
+    values = [*checked_samples(), *fatgraph_samples(), *unchecked_samples()]
+    assert len({type(v) for v in values}) == 13
     for value in values:
         for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert type(twin) is type(value) and twin == value
