@@ -121,16 +121,6 @@ def count_post_inits(monkeypatch):
     return calls
 
 
-def test_warm_verify_runs_no_post_init(monkeypatch, capsys):
-    """After a warm-up, verify builds every value on the unchecked path."""
-    argv = ["verify", "--families", "all", "--k-range", "-20..20"]
-    assert cli.run(argv) == 0
-    calls = count_post_inits(monkeypatch)
-    assert cli.run(argv) == 0
-    assert calls == []
-    assert capsys.readouterr().out.endswith("checked 200 instances: all ok\n")
-
-
 def count_inits(monkeypatch):
     """The names of the UNCHECKED classes whose __init__ runs from here on."""
     calls = []
@@ -142,17 +132,19 @@ def count_inits(monkeypatch):
     return calls
 
 
-def test_warm_verify_runs_no_init(monkeypatch, capsys):
-    """After a warm-up, verify builds its instances, check results and
-    reports without the generated __init__."""
+def test_warm_verify_runs_no_post_init(monkeypatch, capsys):
+    """After a warm-up, verify builds every value on the unchecked path:
+    no __post_init__ of a CHECKED class and no generated __init__ of an
+    UNCHECKED one (its instances, check results and reports) runs."""
     argv = ["verify", "--families", "all", "--k-range", "-20..20"]
     assert cli.run(argv) == 0
-    calls = count_inits(monkeypatch)
+    post_inits = count_post_inits(monkeypatch)
+    inits = count_inits(monkeypatch)
     assert cli.run(argv) == 0
-    assert calls == []
+    assert post_inits == [] and inits == []
     assert capsys.readouterr().out.endswith("checked 200 instances: all ok\n")
     CheckResult("grid", True, ("",))  # the count sees a direct construction
-    assert calls == ["CheckResult"]
+    assert inits == ["CheckResult"]
 
 
 def test_warm_vi_instances_run_no_post_init(monkeypatch):

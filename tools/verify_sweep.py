@@ -1,21 +1,20 @@
 """Break-even sweep of `verify --jobs 1` against `verify --jobs 2`.
 
-For each size n (a multiple of 5), times `verify --families all
+For each size n in SIZES, times `verify --families all
 --k-range 1000..(1000+n/5-1)` in this process, `--jobs 1` and `--jobs 2`
-alternating for a number of pairs, the first of each pair alternating
+alternating for PAIRS pairs, the first of each pair alternating
 too.  `--jobs 2` always forks a pool of two workers, at every size, so
 the table shows what a fork costs where `verify` itself would not fork.
 Each pair's two outputs must be byte-identical.  Prints a Markdown table
 of the median times and the median of the paired ratios, the speedup of
 `--jobs 2`:
 
-    python3 tools/verify_sweep.py [--pairs 21] [--sizes 250,500,...]
+    python3 tools/verify_sweep.py
 
 Run from the root of a source checkout; the package is imported from its
 `src/`.  Standard library only.
 """
 
-import argparse
 import contextlib
 import io
 import statistics
@@ -27,7 +26,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lensknots import cli  # noqa: E402
 
-SIZES = (250, 500, 750, 1000, 1500, 2000, 4000)
+PAIRS = 21
+SIZES = (250, 500, 750, 1000, 1500, 2000, 4000)  # multiples of 5
 
 
 def timed(argv):
@@ -42,12 +42,12 @@ def timed(argv):
     return elapsed, out.getvalue()
 
 
-def sweep(n, pairs):
+def sweep(n):
     """Median --jobs 1 and --jobs 2 times at n instances, in seconds, and
     the median of their paired ratios."""
     argv = ["verify", "--families", "all", "--k-range", f"1000..{1000 + n // 5 - 1}"]
     one, two, ratios = [], [], []
-    for i in range(pairs):
+    for i in range(PAIRS):
         runs = {}
         for jobs in ((1, 2) if i % 2 == 0 else (2, 1)):
             runs[jobs] = timed(argv + ["--jobs", str(jobs)])
@@ -60,23 +60,15 @@ def sweep(n, pairs):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--pairs", type=int, default=21)
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)),
-                        help="comma list of instance counts, each a multiple of 5")
-    args = parser.parse_args()
-    sizes = [int(n) for n in args.sizes.split(",")]
-    if args.pairs < 1 or any(n < 5 or n % 5 for n in sizes):
-        parser.error("need --pairs >= 1 and sizes that are positive multiples of 5")
     # every --jobs 2 run forks two workers, whatever the range and the CPUs
     cli._WORKER_MIN = 1
     cli._usable_cpus = lambda: 2
     timed(["verify", "--k-range", "1000..1001", "--jobs", "2"])  # imports the pool
-    print(f"{args.pairs} alternating pairs per size\n")
+    print(f"{PAIRS} alternating pairs per size\n")
     print("| instances | `--jobs 1` | `--jobs 2` | speedup |")
     print("|---|---|---|---|")
-    for n in sizes:
-        one, two, ratio = sweep(n, args.pairs)
+    for n in SIZES:
+        one, two, ratio = sweep(n)
         print(f"| {n:,} | {one * 1000:.0f} ms | {two * 1000:.0f} ms | {ratio:.2f}x |",
               flush=True)
 
