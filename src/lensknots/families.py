@@ -20,9 +20,9 @@ fibered exactly when k = +-1 and are torus knots only at k = +1.
 instantiate() populates every attribute from the closed forms in _FORMS,
 read at each call; an instance is fibered exactly when it carries a
 monodromy.  verify() recomputes each attribute by an independent route
-(surgery homology, core orders, bundle homology of the monodromy, grid
-witnesses, the core's self-linking in the lens space) and reports
-per-check results.
+(surgery homology, core orders, the Alexander polynomial of the knot
+exterior against the monodromy, grid witnesses, the core's self-linking in
+the lens space) and reports per-check results.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import gcd, lcm
 
 from .gridknots import find_torus_grid_witness, grid1_order
 from .lenspaces import LensSpace, Slope, _trusted_builder, normalize, q_orbit
-from .mcg import MappingWord, bundle_h1
+from .mcg import MappingWord
 from .surgery import FramedLink, core_order, h1, link_to_obj, unknot, whitehead
 
 
@@ -303,24 +302,51 @@ def _check_core_order(inst):
 
 
 def _check_fibration(inst):
-    if not inst.fibered:
-        return True, "not fibered; nothing to compare"
-    exterior, bundle = _fibration_groups(inst.surgery.unfill(inst.core_index),
-                                         inst.monodromy)
-    ok = exterior == bundle
-    return ok, "exterior h1 = {}, bundle h1 = {}", exterior, bundle
+    """The Alexander polynomial of the knot exterior against the monodromy M.
 
-
-@lru_cache(maxsize=32)
-def _fibration_groups(exterior, monodromy):
-    """H1 of the knot exterior, and H1 of the bundle of the monodromy.
-
-    Both are pure functions of the hashable key, so a cached pair never goes
-    stale.  The atlas has seven keys: the members of I-III share their
-    exterior and monodromy at every k, and IV and V are fibered only at
-    k = +-1.  The bound caps memory for hand-made instances.
+    A knot whose exterior fibers with punctured-torus fiber and monodromy M
+    has Delta = t^2 - tr(M) t + 1 and H1 of the exterior = Z + coker(M - I).
+    The exterior of a core of W(p/q, .) has H1 = Z + Z/|p|, and Delta(1) =
+    -p = det(M - I) when the two Deltas agree; so with the entries of M - I
+    coprime, which makes coker(M - I) cyclic, the two H1s agree as well.  A
+    member of I-V that is not fibered has a Delta that is not monic.
+    Family VI has no Whitehead exterior, and nothing to compare.
     """
-    return h1(exterior), bundle_h1(monodromy)
+    if inst.family is FamilyId.VI and not inst.fibered:
+        return True, "not fibered; nothing to compare"
+    link = inst.surgery
+    if link.name != "whitehead":
+        return False, "surgery on {}, not the Whitehead link; no closed form for Delta", link.name
+    delta = _alexander(link.coefficients[1 - inst.core_index])
+    if not inst.fibered:
+        ok = delta[0] != 1
+        return ok, "not fibered; exterior Delta = {}, leading coefficient {}", delta, delta[0]
+    (a, b), (c, d) = inst.monodromy.matrix()
+    want, g = (1, -a - d, 1), gcd(a - 1, b, c, d - 1)
+    ok = delta == want and g == 1
+    return ok, "exterior Delta = {}, monodromy Delta = {}, gcd of M - I = {}", delta, want, g
+
+
+def _alexander(slope):
+    """Delta of the exterior of the unfilled component of W(p/q, .), as its
+    coefficients from the highest power of t down: (q, -p - 2q, q), or (1,)
+    when q = 0 and the exterior is the unknot's.
+
+    The Whitehead link is the 2-bridge link b(8,3), with group
+    <a, b | a w = w a> for w = b a b^-1 a^-1 b^-1 a b; the longitude of a is
+    l = w a^-1, and filling a with slope p/q adds the relator a^-p l^q.
+    The linking number is 0, so the exterior's H1 modulo torsion sends a to
+    1 and b to t.  Take Fox derivatives (R. H. Fox, Free differential
+    calculus I, Ann. of Math. 57, 1953) under that map.  Each relator r
+    maps to 1, so Fox's fundamental formula gives dr/da (1 - 1) +
+    dr/db (t - 1) = 0, and every b-column entry vanishes;
+    d(a w a^-1 w^-1)/da = 1 - w = 0 as well, since w maps to 1.  Delta is
+    the one entry left.  With dw/da = t - 1 + t^-1 it is
+    d(a^-p l^q)/da = -p + q (dw/da - 1) = t^-1 (q t^2 - (p + 2q) t + q),
+    and -1 at q = 0, where the slope is 1/0.
+    """
+    p, q = slope.p, slope.q
+    return (q, -p - 2 * q, q) if q else (1,)
 
 
 def _check_grid(inst):

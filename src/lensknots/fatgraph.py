@@ -403,14 +403,16 @@ def iter_configs(t, max_parallel, require_max=False):
         raise ValueError(f"t must be an even int of at least 2, got {t!r}")
     if type(max_parallel) is not int or max_parallel < 1:
         raise ValueError(f"max_parallel must be an int of at least 1, got {max_parallel!r}")
-    for s in range(1, 6 * max_parallel // t + 1):
+    # a bundle reaches M only once E = s*t/2 >= M, that is from s = ceil(2M/t)
+    first = -(-2 * max_parallel // t) if require_max else 1
+    for s in range(first, 6 * max_parallel // t + 1):
         target = s * t // 2
         # a >= b >= c >= 0 with a + b + c = E bounds a to ceil(E/3)..E and,
         # given a, b to ceil((E-a)/2)..min(a, E-a); c follows from a and b,
-        # so this loop order is (s, counts)
-        a_range = range(-(-target // 3), min(max_parallel, target) + 1)
-        if require_max:
-            a_range = [max_parallel] if max_parallel in a_range else []
+        # so this loop order is (s, counts).  With require_max, M <= E <= 3M
+        # puts a = M in that range for every s scanned
+        a_range = [max_parallel] if require_max else range(
+            -(-target // 3), min(max_parallel, target) + 1)
         for a in a_range:
             for b in range(-(-(target - a) // 2), min(a, target - a) + 1):
                 c = target - a - b

@@ -24,9 +24,8 @@ are exactly these:
   valid, and `Slope.make(p, 0)` returns `INFINITY`;
 - `surgery.AbelianGroup.from_presentation`, after its row-length check:
   a Smith diagonal is a divisibility chain;
-- `surgery.FramedLink.fill` and `unfill` (the linking matrix was checked
-  with the source link, the index is checked), `unknot` and `whitehead`
-  (a constant matrix), whose coefficients go through `_coerce_slope`;
+- `surgery.unknot` and `whitehead` (a constant matrix), whose
+  coefficients go through `_coerce_slope`;
 - `families.instantiate`: the monodromy `x^n y`, and the
   `FamilyInstance`, whose fields are closed forms or values built above;
 - `families.verify`: each `CheckResult` and the `VerificationReport`.

@@ -132,16 +132,6 @@ class FramedLink:
     def lk(self, i, j):
         return self.linking[i][j]
 
-    def fill(self, i, coeff) -> "FramedLink":
-        """Replace component i's coefficient (None removes the filling)."""
-        _check_component(self, i)
-        coeffs = list(self.coefficients)
-        coeffs[i] = _coerce_slope(coeff)
-        return _link(self.linking, tuple(coeffs), self.name)
-
-    def unfill(self, i) -> "FramedLink":
-        return self.fill(i, None)
-
 
 _link = _trusted_builder(FramedLink)
 

@@ -552,12 +552,10 @@ LIBRARY_VALIDATIONS = {
                         "core_order(whitehead('1', '2'), 1.0)",
     "bool-blow_down": "from lensknots.surgery import blow_down, whitehead; "
                       "blow_down(whitehead('2', '1'), True)",
-    "bool-fill": "from lensknots.surgery import whitehead; whitehead('1', '2').fill(True, '5')",
-    "negative-fill": "from lensknots.surgery import whitehead; "
-                     "whitehead('1', '2').fill(-1, '5')",
-    "float-fill": "from lensknots.surgery import whitehead; whitehead('1', '2').fill(1.0, '5')",
-    "out-of-range-fill": "from lensknots.surgery import whitehead; "
-                         "whitehead('1', '2').fill(5, '5')",
+    "negative-core_order": "from lensknots.surgery import core_order, whitehead; "
+                           "core_order(whitehead('1', '2'), -1)",
+    "out-of-range-core_order": "from lensknots.surgery import core_order, whitehead; "
+                               "core_order(whitehead('1', '2'), 5)",
     "from_presentation": "from lensknots.surgery import AbelianGroup; "
                          "AbelianGroup.from_presentation([[2]], 2)",
     "from_presentation-negative-ngens": "from lensknots.surgery import AbelianGroup; "

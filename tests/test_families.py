@@ -14,7 +14,7 @@ from lensknots.families import (FamilyId, FamilyInstance, coincidence_scan,
                                 family_space, filling_table, gof_filling,
                                 instantiate, torus_knot_types, verify)
 from lensknots.lenspaces import LensSpace, Slope, is_homeomorphic, normalize
-from lensknots.mcg import MappingWord
+from lensknots.mcg import MappingWord, bundle_h1, trace
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -105,73 +105,129 @@ def test_verify_passes_across_the_atlas():
 KNOTTED = ("I", "II", "III", "IV", "V")
 
 
-def fibration_key(inst):
-    return inst.surgery.unfill(inst.core_index), inst.monodromy
-
-
-def test_verify_runs_two_smith_forms(monkeypatch):
+def test_verify_runs_two_smith_forms():
     """One for the homology check and one for the core order, since |H1|
-    comes from a determinant; the fibration groups cost two more for each
-    distinct key, once, and none on a second pass."""
-    calls = []
-    snf = surgery.smith_normal_form
-
-    def counted(rows):
-        calls.append(rows)
-        return snf(rows)
-
-    monkeypatch.setattr(surgery, "smith_normal_form", counted)
-    insts = [instantiate(fam, k) for fam in KNOTTED for k in range(-20, 21) if k]
-    keys = {fibration_key(inst) for inst in insts if inst.fibered}
-    assert len(insts) == 200 and len(keys) == 7
-    families._fibration_groups.cache_clear()
-    assert all(verify(inst).ok for inst in insts)
-    assert len(calls) == 2 * len(insts) + 2 * len(keys) == 414
-    for inst in insts:
-        calls.clear()
-        assert verify(inst).ok
-        assert len(calls) == 2, (inst.family, inst.k, calls)
-
-
-def test_fibration_table_keys():
-    """Verifying I-V at -50..50 on a cleared memo fills it with exactly the
-    seven keys of the fibered members at k = +-1."""
-    members = [instantiate(fam, k) for fam in KNOTTED for k in (-1, 1)]
-    assert all(inst.fibered for inst in members)
-    atlas_keys = {fibration_key(m) for m in members}
-    families._fibration_groups.cache_clear()
-    insts = [instantiate(fam, k) for fam in KNOTTED for k in range(-50, 51) if k]
-    assert all(verify(inst).ok for inst in insts)
-    for inst in insts:
-        if inst.fibered:
-            assert fibration_key(inst) in atlas_keys, (inst.family, inst.k)
-    assert families._fibration_groups.cache_info().currsize == len(atlas_keys) == 7
-
-
-def test_fibration_table_matches_computed_groups(monkeypatch):
-    """A memo hit and the computation it saves give the same check result."""
-    insts = [instantiate(fam, k) for fam in KNOTTED for k in (-3, -1, 1, 2)]
-    families._fibration_groups.cache_clear()
-    [families._check_fibration(inst) for inst in insts]
-    hits = families._fibration_groups.cache_info().hits
-    looked_up = [families._check_fibration(inst) for inst in insts]
-    fibered = sum(inst.fibered for inst in insts)
-    assert families._fibration_groups.cache_info().hits == hits + fibered > hits
-    compute = families._fibration_groups.__wrapped__
-    monkeypatch.setattr(families, "_fibration_groups", compute)
-    assert [families._check_fibration(inst) for inst in insts] == looked_up
-
-
-def test_import_runs_no_atlas_code():
-    code = ("import lensknots.families as f; "
-            "print(f._fibration_groups.cache_info().currsize)")
+    comes from a determinant; the fibration check runs none.  verify keeps
+    no state, so a fresh process makes the same calls on its first pass
+    over 200 instances as on its second."""
+    code = """if True:
+        from lensknots import surgery
+        from lensknots.families import instantiate, verify
+        calls, snf = [], surgery.smith_normal_form
+        surgery.smith_normal_form = lambda rows: calls.append(rows) or snf(rows)
+        insts = [instantiate(fam, k) for fam in ("I", "II", "III", "IV", "V")
+                 for k in range(-20, 21) if k]
+        for _ in range(2):
+            per_instance = []
+            for inst in insts:
+                calls.clear()
+                assert verify(inst).ok
+                per_instance.append(len(calls))
+            print(len(insts), sum(per_instance), set(per_instance))
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    assert proc.stdout == "200 400 {2}\n" * 2
+
+
+# --- the Alexander polynomial of the fibration check ---------------------------
+#
+# The Whitehead link as the 2-bridge link b(8,3): <a, b | a w = w a> with
+# w = b a b^-1 a^-1 b^-1 a b and the longitude l = w a^-1 of a; filling a
+# with slope p/q adds the relator a^-p l^q.  Words are tuples of
+# (generator, exponent) syllables, and a Fox derivative is taken under
+# a -> 1, b -> t, as {power of t: coefficient}.
+
+W = (("b", 1), ("a", 1), ("b", -1), ("a", -1), ("b", -1), ("a", 1), ("b", 1))
+LONGITUDE = W + (("a", -1),)
+DEGREE = {"a": 0, "b": 1}
+
+
+def inverse(word):
+    return tuple((g, -e) for g, e in reversed(word))
+
+
+def fox(word, x):
+    """phi(d word / dx): a syllable x^e at a prefix of degree d adds
+    t^d + ... + t^(d + (e-1) deg x) for e > 0, and minus
+    t^(d - deg x) + ... + t^(d + e deg x) for e < 0."""
+    poly, d = collections.Counter(), 0
+    for g, e in word:
+        if g == x:
+            for i in (range(e) if e > 0 else range(e, 0)):
+                poly[d + i * DEGREE[g]] += 1 if e > 0 else -1
+        d += e * DEGREE[g]
+    return {power: c for power, c in poly.items() if c}
+
+
+def as_delta(poly):
+    """Coefficients from the highest power down, with a positive lead."""
+    top, low = max(poly), min(poly)
+    coeffs = tuple(poly.get(power, 0) for power in range(top, low - 1, -1))
+    return coeffs if coeffs[0] > 0 else tuple(-c for c in coeffs)
+
+
+def exterior_delta(p, q):
+    """Delta of W(p/q, .) by Fox calculus; the commutator relator and every
+    derivative in b vanish, so the a-derivative of the filling relator is
+    the one entry of the Alexander matrix."""
+    commutator = (("a", 1),) + W + (("a", -1),) + inverse(W)
+    filling = (("a", -p),) + LONGITUDE * q
+    assert fox(commutator, "a") == fox(commutator, "b") == fox(filling, "b") == {}
+    return as_delta(fox(filling, "a"))
+
+
+def test_alexander_closed_form_is_the_fox_derivative():
+    slopes = [(p, q) for p in range(-40, 41) for q in range(41) if math.gcd(p, q) == 1]
+    assert len(slopes) == 1961
+    for p, q in slopes:
+        assert families._alexander(Slope.make(p, q)) == exterior_delta(p, q), (p, q)
+    # the fibered exterior of W(-n, .) has monodromy x^n y
+    for n in range(1, 31):
+        tr = trace(MappingWord.parse(f"x^{n} y").matrix())
+        assert exterior_delta(-n, 1) == (1, -tr, 1), n
+
+
+def test_passing_fibration_check_has_equal_h1s():
+    """Over hand-made fibered Whitehead instances, every pass of the
+    fibration check has H1 of the exterior equal to H1 of the bundle: the
+    H1 comparison it replaces would fail none of them.  Exactly W(-n, .)
+    with x^n y and W(n, .) with x^n y^-1 pass."""
+    base = instantiate("I", 1)
+    slopes = {Slope.make(a, b) for a in range(-12, 13) for b in range(1, 7)}
+    fibers = {}  # each word, and the slope of the filling it should pass with
+    for n in range(-6, 7):
+        fibers[MappingWord.parse(f"x^{n} y")] = Slope.make(-n, 1)
+        fibers[MappingWord.parse(f"x^{n} y^-1")] = Slope.make(n, 1)
+    words = [*fibers, MappingWord.parse("x y x y x y"), MappingWord(())]  # -I, identity
+    passed = set()
+    for slope in slopes:
+        for core in (0, 1):
+            coeffs = [slope, slope]
+            coeffs[core] = "1"
+            link = surgery.whitehead(*coeffs)
+            coeffs[core] = None
+            exterior = surgery.h1(surgery.FramedLink.make(link.linking, coeffs))
+            for word in words:
+                inst = dataclasses.replace(base, surgery=link, core_index=core,
+                                           monodromy=word)
+                if families._check_fibration(inst)[0]:
+                    assert exterior == bundle_h1(word), (slope, core, str(word))
+                    passed.add((slope, core, word))
+    assert passed == {(slope, core, word) for word, slope in fibers.items() for core in (0, 1)}
+    # IV at k = -1 is W(-4, .) with x^4 y; -I has the same Delta, and only
+    # its M - I, whose entries have gcd 2, tells them apart
+    iv = instantiate("IV", -1)
+    for word, g in (("x^4 y", 1), ("x y x y x y", 2)):
+        inst = dataclasses.replace(iv, monodromy=MappingWord.parse(word))
+        (check,) = [c for c in verify(inst).checks if c.name == "fibration"]
+        assert check.passed is (g == 1), word
+        assert check.detail == ("exterior Delta = (1, 2, 1), monodromy Delta = (1, 2, 1), "
+                                f"gcd of M - I = {g}")
 
 
 def test_verify_catches_corruption():
@@ -405,12 +461,7 @@ def _mutants():
             else:
                 cases += [(fams, field, value[:i] + (value[i] + d,) + value[i + 1:],
                            f"{name}[{i}]{d:+d}") for i in (0, 1) for d in (1, -1)]
-    blind = pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: fibration has nothing to compare for a member marked "
-        "non-fibered, and no check tests that a member of I-III is fibered"))
-    return [pytest.param(fams, field, value, id=name,
-                         marks=blind if field == "sporadic" and value else ())
-            for fams, field, value, name in cases]
+    return [pytest.param(fams, field, value, id=name) for fams, field, value, name in cases]
 
 
 @pytest.mark.parametrize("fams, field, value", _mutants())
@@ -477,11 +528,9 @@ def test_verify_catches_mirror_mutant(monkeypatch, fams, field):
     assert verify_fails_somewhere(fams)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 3: fibration compares H1 only, and x^n y and x^n y^-1 "
-    "give bundles with the same H1"))
 def test_verify_catches_inverted_monodromy_twist(monkeypatch):
-    """Every monodromy x^n y built as x^n y^-1."""
+    """Every monodromy x^n y built as x^n y^-1, whose bundle has the same H1
+    but trace 2 + n in place of 2 - n."""
     word = families._word
     monkeypatch.setattr(families, "_word", lambda syllables: word(
         tuple((g, -e if g == "y" else e) for g, e in syllables)))

@@ -219,6 +219,13 @@ def test_loop_bounds_keep_the_triples_and_their_order(t, m):
     for require_max in (False, True):
         got = [(c.s, *c.counts) for c in fatgraph.iter_configs(t, m, require_max)]
         assert got == list(unbounded_triples(t, m, require_max)), require_max
+    # with require_max no s below 2M/t has E = s*t/2 >= M, and the loop
+    # starts there, so the first configuration of a bound in the millions,
+    # (M, 0, 0) at s = 2M/t, comes at once; at (2, 40) this is
+    # `enum-graphs --t 2 --max-parallel 3000000 --require-max`
+    big = 75_000 * m
+    first = next(fatgraph.iter_configs(t, big, require_max=True))
+    assert (first.s, *first.counts) == (2 * big // t, big, 0, 0)
 
 
 def test_region_length_is_for_disks():

@@ -40,16 +40,12 @@ def test_framed_link_validation():
     assert {link: 1}[FramedLink.make([[0, 2], [2, 0]], ["-3", None])] == 1
     assert link.coefficients[0] == Slope(-3, 1)
     assert link.coefficients[1] is None
-    assert link.fill(1, "1/2").coefficients[1] == Slope(1, 2)
-    assert link.fill(1, "1/2").unfill(1) == link
 
 
 def test_floats_are_refused():
     """A float is neither a slope nor a linking number: no silent rounding."""
     with pytest.raises(ValueError):
         whitehead(0.1, "-3")
-    with pytest.raises(ValueError):
-        whitehead("-3").fill(1, 2.5)
     with pytest.raises(ValueError):
         FramedLink.make([[0, 2.7], [2.7, 0]], [None, None])
     with pytest.raises(ValueError):

@@ -49,7 +49,7 @@ def test_instances_are_valid(family):
     for k in _ks():
         inst = instantiate(family, k)
         values = [inst.space, inst.surgery, *inst.surgery.coefficients,
-                  inst.surgery.unfill(inst.core_index), h1(inst.surgery)]
+                  h1(inst.surgery)]
         if inst.monodromy is not None:
             values.append(inst.monodromy)
         report = verify(inst)
@@ -86,17 +86,14 @@ def test_from_presentation_is_valid():
         AbelianGroup.from_presentation([], -1)  # no row to fix the rank's sign
 
 
-def test_whitehead_and_fill_coerce_their_coefficients():
-    for a, b in [("-3", "5/2"), (2, None), (Fraction(-14, 6), "inf"), (Slope(1, 0), -7)]:
-        link = whitehead(a, b)
-        assert_valid(link)
-        for i, coeff in [(0, "1/2"), (1, -4), (0, Fraction(3, -9)), (1, None)]:
-            assert_valid(link.fill(i, coeff))
-            assert_valid(link.unfill(i))
+def test_whitehead_coerces_its_coefficients():
+    for a, b in [("-3", "5/2"), (2, None), (Fraction(-14, 6), "inf"), (Slope(1, 0), -7),
+                 ("1/2", Fraction(3, -9)), (None, -4)]:
+        assert_valid(whitehead(a, b))
     with pytest.raises(ValueError):
         whitehead(True, "-3")
     with pytest.raises(ValueError):
-        whitehead("-3", "1/0/2").fill(0, "2")
+        whitehead("-3", "1/0/2")
 
 
 def test_unknot_coerces_its_coefficient():
@@ -190,11 +187,9 @@ def fatgraph_samples():
 
 def checked_samples():
     """A value of each CHECKED class from each producer that builds it."""
-    link = whitehead("-3", "5/2")
     return [normalize(7, 2), Slope.make(-4, 6), Slope.make(3, 0),
             AbelianGroup.from_presentation([[2, 4], [6, 8]], 2),
-            link.fill(0, "1/2"), link.unfill(1), unknot("-7/2"), link,
-            instantiate("I", 5).monodromy]
+            unknot("-7/2"), whitehead("-3", "5/2"), instantiate("I", 5).monodromy]
 
 
 def unchecked_samples():
