@@ -94,12 +94,12 @@ def _parse_krange(text):
 # whose results stay small, while a narrow one is split among the workers.
 _SPAN_CAP = 256
 
-# The fewest instances a forked worker must get to pay for its fork: a
-# worker gets at least one full span.  The latest sweep on two vCPUs (see
-# README) has `--jobs 2` first beat one process at 500-750 instances,
-# 250-375 per worker, so the smallest range that forks, 512 instances,
-# runs at about break-even.
-_WORKER_MIN = _SPAN_CAP
+# The fewest instances a forked worker must get to pay for its fork, so a
+# worker gets at least one full span.  The latest sweeps on two vCPUs (see
+# README) have `--jobs 2` break even with one process at 750-875
+# instances and win from 1,000, so the smallest range that forks, 800
+# instances, runs at about break-even.
+_WORKER_MIN = 400
 
 
 def _verify_one(family, k):
@@ -145,12 +145,15 @@ def _in_order(pool, spans, window):
 
 
 def _print_batches(batches):
-    """Print each (ok, line) pair as its batch arrives; the failure count."""
+    """Print each (ok, line) pair as its batch arrives, with one write per
+    batch; the failure count."""
     failures = 0
+    write = sys.stdout.write
     for batch in batches:
-        for ok, line in batch:
-            print(line)
-            failures += not ok
+        if batch:  # a span of k = 0 alone has no line
+            oks, lines = zip(*batch)
+            write("\n".join(lines) + "\n")
+            failures += oks.count(False)
     return failures
 
 

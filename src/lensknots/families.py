@@ -31,9 +31,10 @@ import enum
 import os
 from dataclasses import dataclass, replace
 from math import gcd, lcm
+from operator import attrgetter
 
-from .gridknots import find_torus_grid_witness, grid1_order
-from .lenspaces import LensSpace, Slope, _trusted_builder, normalize, q_orbit
+from .gridknots import grid1_order, torus_grid_slope
+from .lenspaces import LensSpace, Slope, _slope, _trusted_builder, normalize, q_orbit
 from .mcg import MappingWord
 from .surgery import FramedLink, core_order, h1, link_to_obj, unknot, whitehead
 
@@ -191,9 +192,12 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
         raise ValueError(f"family {family.value} takes k, not r and q")
     form = _form(family, k)
     fibered = not form.sporadic or abs(k) == 1
+    # beta + 1/k = (beta*k + 1)/k is in lowest terms, as gcd(beta*k + 1, k)
+    # divides 1; only its sign is fixed for k < 0
+    m = form.beta * k + 1
     return _instance(
         family, k, None, _space(form, k),
-        whitehead(Slope.make(form.alpha, 1), Slope.make(form.beta * k + 1, k)),
+        whitehead(_slope(form.alpha, 1), _slope(m, k) if k > 0 else _slope(-m, -k)),
         form.core, abs(_linear(form.s, k)),
         _word((("x", form.twists[k > 0]), ("y", 1))) if fibered else None,
         abs(_linear(form.grid, k)),
@@ -228,7 +232,7 @@ class VerificationReport:
 
     @property
     def ok(self):
-        return all(c.passed for c in self.checks)
+        return all(map(_passed, self.checks))
 
     def to_dict(self):
         return {
@@ -242,6 +246,7 @@ class VerificationReport:
 
 _result = _trusted_builder(CheckResult)
 _report = _trusted_builder(VerificationReport)
+_passed = attrgetter("passed")
 
 
 def _exception_detail(exc):
@@ -356,12 +361,13 @@ def _check_grid(inst):
     if inst.torus_type is None:
         return ok, "grid index {} has order {} in H1 of {}", inst.grid_index, got, inst.space
     da, db = inst.torus_type
-    witness = find_torus_grid_witness(r, inst.space.q, da, db)
+    # the detail names only the witness's slope, so its sequence is not built
+    qdot = torus_grid_slope(r, inst.space.q, da, db)
     # a (da,db) knot on the grid starts with da unit steps, so its
     # grid index is da; holds for every torus-knot member of the atlas
-    ok = ok and witness is not None and inst.grid_index == da
+    ok = ok and qdot is not None and inst.grid_index == da
     return (ok, "grid index {} has order {} in H1 of {}; torus witness {}",
-            inst.grid_index, got, inst.space, witness[0] if witness else "missing")
+            inst.grid_index, got, inst.space, "missing" if qdot is None else qdot)
 
 
 def _check_linking_form(inst):

@@ -127,20 +127,6 @@ class ArcSystemConfig:
         return "amber" if self.corner_side(g) == 0 else "blue"
 
 
-def _parity_holds(e, counts):
-    """Whether every arc joins knot-point labels of opposite parity, from
-    E = s*t/2 and the multiplicities.
-
-    This is the parity rule for intersection graphs of a knot meeting the
-    torus coherently; configurations failing it cannot be realized and
-    their corner colours are inconsistent.  In closed form it says E + n_X
-    is even for every nonempty bundle X: nested pairing puts the ends of
-    bundle-X arc j at slots whose sum is E + n_X - 1, a constant, and for
-    even t opposite label parity is exactly opposite slot parity.
-    """
-    return all(n == 0 or (e + n) % 2 == 0 for n in counts)
-
-
 @dataclass(frozen=True, slots=True)
 class Circle:
     """One boundary circle of the ribbon graph neighbourhood."""
@@ -409,15 +395,29 @@ def iter_configs(t, max_parallel, require_max=False):
         target = s * t // 2
         # a >= b >= c >= 0 with a + b + c = E bounds a to ceil(E/3)..E and,
         # given a, b to ceil((E-a)/2)..min(a, E-a); c follows from a and b,
-        # so this loop order is (s, counts).  With require_max, M <= E <= 3M
-        # puts a = M in that range for every s scanned
-        a_range = [max_parallel] if require_max else range(
-            -(-target // 3), min(max_parallel, target) + 1)
+        # so this loop order is (s, counts).  The parity rule (every arc
+        # joins knot-point labels of opposite parity) says E + n is even
+        # for every nonempty bundle of n arcs: nested pairing puts the ends
+        # of a bundle's arc j at slots whose sum is E + n - 1, and for even
+        # t opposite label parity is opposite slot parity.  So a and b step
+        # by 2 in E's parity class, and c = E - a - b falls in it too; the
+        # one exception is b = c = 0, which needs a = E and is yielded
+        # apart.  With require_max, M <= E <= 3M puts a = M in range for
+        # every s scanned, and the rule admits it only when E + M is even
+        if require_max:
+            if (target + max_parallel) % 2:
+                continue
+            a_range = [max_parallel]
+        else:
+            low = -(-target // 3)
+            a_range = range(low + (low + target) % 2, min(max_parallel, target) + 1, 2)
         for a in a_range:
-            for b in range(-(-(target - a) // 2), min(a, target - a) + 1):
-                c = target - a - b
-                if _parity_holds(target, (a, b, c)):
-                    yield _config(s, t, a, b, c, 0)
+            if a == target:
+                yield _config(s, t, a, 0, 0, 0)
+                continue
+            low = -(-(target - a) // 2)
+            for b in range(low + (low + target) % 2, min(a, target - a) + 1, 2):
+                yield _config(s, t, a, b, target - a - b, 0)
 
 
 def enumerate_configs(t, max_parallel, require_max=False):

@@ -49,22 +49,37 @@ def torus_knot_sequence(r, qdot, da, db):
     grid; returns None otherwise.
     """
     _check_grid(r, qdot, da, db)
-    return _sequence(r, qdot, da, db)
+    return _sequence(r, qdot, da, db) if _closes(r, qdot, da, db) else None
 
 
-def _sequence(r, qdot, da, db):
-    """torus_knot_sequence once its arguments are checked."""
+def _closes(r, qdot, da, db):
+    """Whether the candidate of torus_knot_sequence closes up and embeds,
+    once its arguments are checked; no list is built."""
     # the da + db - 1 interior residues must be distinct and nonzero mod r,
     # and the last one must be 0.  Once da + db <= r, the first da of them
     # are 1..da, and the other db - 1, da + i*qdot for 0 < i < db, are
     # distinct since qdot is a unit; so the strands embed unless one of
-    # those lands in 0..da.  All is decided before any list is built.
-    if (da + db > r or (da + db * qdot) % r
-            or any((da + i * qdot) % r <= da for i in range(1, db))):
-        return None
+    # those lands in 0..da
+    return not (da + db > r or (da + db * qdot) % r
+                or any((da + i * qdot) % r <= da for i in range(1, db)))
+
+
+def _sequence(r, qdot, da, db):
+    """The residues of a candidate, built only once it is a witness."""
     seq = list(range(da + 1))
     seq.extend((da + i * qdot) % r for i in range(1, db + 1))
     return seq
+
+
+def torus_grid_slope(r, q, da, db):
+    """The slope qdot of find_torus_grid_witness(r, q, da, db), or None,
+    without its sequence."""
+    _check_grid(r, q, da, db)
+    # each member of the orbit is a unit mod r, so it is not checked again
+    for qdot in q_orbit(r, q):
+        if _closes(r, qdot, da, db):
+            return qdot
+    return None
 
 
 def find_torus_grid_witness(r, q, da, db):
@@ -74,10 +89,5 @@ def find_torus_grid_witness(r, q, da, db):
     the four grid parameters equivalent to q under the symmetries of the
     diagram.  Returns (qdot, sequence) for the first success, else None.
     """
-    _check_grid(r, q, da, db)
-    # each member of the orbit is a unit mod r, so it is not checked again
-    for qdot in q_orbit(r, q):
-        seq = _sequence(r, qdot, da, db)
-        if seq is not None:
-            return qdot, seq
-    return None
+    qdot = torus_grid_slope(r, q, da, db)
+    return None if qdot is None else (qdot, _sequence(r, qdot, da, db))

@@ -22,20 +22,24 @@ are exactly these:
   direct construction (`_check_lens` for `LensSpace`, `_check_slope` for
   `Slope`): the gcd reduction and the orbit minimum make the fields
   valid, and `Slope.make(p, 0)` returns `INFINITY`;
-- `surgery.AbelianGroup.from_presentation`, after its row-length check:
-  a Smith diagonal is a divisibility chain;
+- `surgery.AbelianGroup.from_presentation`, after its row-length check,
+  and `surgery.h1`, over the rows `h1_presentation` builds from a
+  checked link: a Smith diagonal is a divisibility chain;
 - `surgery.unknot` and `whitehead` (a constant matrix), whose
   coefficients go through `_coerce_slope`;
-- `families.instantiate`: the monodromy `x^n y`, and the
-  `FamilyInstance`, whose fields are closed forms or values built above;
+- `families.instantiate`: the slopes `alpha/1` and `(beta*k + 1)/k`,
+  in lowest terms for every nonzero int k once the sign is fixed for
+  k < 0; the monodromy `x^n y`; and the `FamilyInstance`, whose fields
+  are closed forms or values built above;
 - `families.verify`: each `CheckResult` and the `VerificationReport`.
   These two classes and `FamilyInstance` have no `__post_init__`, so
   their builders skip only the frozen `__init__`'s `object.__setattr__`
   per field;
 - `fatgraph.enumerate_configs` (and `iter_configs`), `faces` and
-  `scharlemann_cycles`: the enumeration's loop bounds and its parity test
-  on the counts make every configuration valid, and circles, regions,
-  reports and cycles are closed forms or traces of a valid configuration.
+  `scharlemann_cycles`: the enumeration's loop bounds, which step the
+  counts in the parity rule's class, make every configuration valid, and
+  circles, regions, reports and cycles are closed forms or traces of a
+  valid configuration.
 
 Every value class is a frozen dataclass with slots, so
 `dataclasses.replace(v)` rebuilds a value through the full check;

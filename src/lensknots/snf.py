@@ -34,7 +34,8 @@ def smith_normal_form(rows):
     """
     ncols = len(rows[0]) if rows else 0
     if ncols == 1:
-        d = gcd(*(r[0] for r in rows))
+        (column,) = zip(*rows)
+        d = gcd(*column)
         return [d] if d else []
     if ncols == 2:
         return _two_column_form(rows)

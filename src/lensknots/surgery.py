@@ -79,11 +79,16 @@ class AbelianGroup:
         """Cokernel of the relation rows inside Z^ngens."""
         if type(ngens) is not int or ngens < 0 or any(len(r) != ngens for r in rows):
             raise ValueError(f"need int ngens >= 0 and {ngens!r} entries in every relation row")
-        diag = smith_normal_form(rows)
-        return _group(ngens - len(diag), tuple(d for d in diag if d > 1))
+        return _cokernel(smith_normal_form(rows), ngens)
 
 
 _group = _trusted_builder(AbelianGroup)
+
+
+def _cokernel(diag, ngens):
+    """The group of a Smith diagonal of relations on ngens generators.  A
+    diagonal is a divisibility chain, so its 1s, which add nothing, lead."""
+    return _group(ngens - len(diag), tuple(diag[diag.count(1):]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,8 +177,9 @@ def h1_presentation(link: FramedLink):
 
 
 def h1(link: FramedLink) -> AbelianGroup:
-    return AbelianGroup.from_presentation(h1_presentation(link),
-                                          link.num_components)
+    # the rows are built here, one per filled component and one entry per
+    # component each, so the Smith diagonal is read with no row check
+    return _cokernel(smith_normal_form(h1_presentation(link)), len(link.linking))
 
 
 def core_order(link: FramedLink, i: int):
@@ -194,7 +200,7 @@ def core_order(link: FramedLink, i: int):
     n = _check_component(link, i)
     if link.coefficients[i] is None:
         raise ValueError(f"component {i} is not filled")
-    if any(c is None for c in link.coefficients):
+    if None in link.coefficients:
         raise ValueError("core_order needs a closed manifold: fill every component")
     rows = h1_presentation(link)
     others = rows[:i] + rows[i + 1:] + [link.linking[i]]

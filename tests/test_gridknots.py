@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from lensknots import gridknots
+from lensknots.cli import run
 from lensknots.gridknots import (find_torus_grid_witness, grid1_order,
-                                 torus_knot_sequence)
+                                 torus_grid_slope, torus_knot_sequence)
 
 # The six closed-form sequence families of grid witnesses for the knotted
 # torus knot types.  Each entry: parameter -> (r, q, da, db, qdot, sequence);
@@ -133,6 +135,50 @@ def test_sequence_matches_full_build_exhaustively():
     assert cases == 118302
 
 
+def full_build_slope(r, q, da, db):
+    """Reference: the first of q, -q, q^-1, -q^-1 mod r whose fully built
+    sequence is a witness, or None."""
+    qinv = pow(q, -1, r)
+    return next((qdot for qdot in (q % r, -q % r, qinv, -qinv % r)
+                 if full_build_sequence(r, qdot, da, db) is not None), None)
+
+
+def test_slope_matches_witness_exhaustively():
+    """The cases of test_sequence_matches_full_build_exhaustively, with the
+    unit as q: the slope alone is the witness's, found by the same decision
+    that torus_knot_sequence makes, and the full builds'."""
+    cases = 0
+    for r in range(2, 25):
+        for q in [q for q in range(-r, r + 1) if math.gcd(q, r) == 1]:
+            for da in range(1, r + 2):
+                for db in range(1, r + 2):
+                    slope = torus_grid_slope(r, q, da, db)
+                    witness = find_torus_grid_witness(r, q, da, db)
+                    assert slope == (None if witness is None else witness[0]), (r, q, da, db)
+                    assert slope == full_build_slope(r, q, da, db), (r, q, da, db)
+                    cases += 1
+    assert cases == 118302
+
+
+def test_verify_builds_no_grid_sequence(monkeypatch, capsys):
+    """The grid check reads only the witness's slope: with the sequence
+    builder refusing to run, a warm verify still passes every member."""
+    argv = ["verify", "--families", "all", "--k-range", "-20..20"]
+    assert run(argv) == 0
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("a grid sequence was built")
+
+    monkeypatch.setattr(gridknots, "_sequence", refuse)
+    assert run(argv) == 0
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert last == "checked 200 instances: all ok"
+    assert len(lines) == 200 and all(line.startswith("ok ") for line in lines)
+    with pytest.raises(AssertionError):  # the patch is live where it applies
+        find_torus_grid_witness(5, 1, 2, 3)
+
+
 @pytest.mark.parametrize("args", [
     (1, 1, 2, 3),   # r < 2
     (0, 1, 1, 1),
@@ -145,3 +191,5 @@ def test_bad_grid_arguments_raise_value_error(args):
         torus_knot_sequence(*args)
     with pytest.raises(ValueError):
         find_torus_grid_witness(*args)
+    with pytest.raises(ValueError):
+        torus_grid_slope(*args)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lensknots
 from lensknots import cli, fatgraph
@@ -27,7 +28,8 @@ from lensknots.fatgraph import (ArcSystemConfig, enumerate_configs, faces,
                                 scharlemann_cycles)
 from lensknots.lenspaces import INFINITY, LensSpace, Slope, normalize
 from lensknots.mcg import MappingWord
-from lensknots.surgery import AbelianGroup, FramedLink, h1, unknot, whitehead
+from lensknots.surgery import (AbelianGroup, FramedLink, chain3, h1, h1_presentation,
+                               unknot, whitehead)
 
 CHECKED = (Slope, LensSpace, FramedLink, AbelianGroup, MappingWord)
 # value classes with no check, which instantiate and verify build trusted
@@ -84,6 +86,36 @@ def test_from_presentation_is_valid():
         assert_valid(AbelianGroup.from_presentation(rows, ngens))
     with pytest.raises(ValueError):
         AbelianGroup.from_presentation([], -1)  # no row to fix the rank's sign
+
+
+@st.composite
+def open_links(draw):
+    """Links of 1-4 components with linking numbers in -3..3, each
+    component filled or left unfilled (q = 0 gives the infinite slope)."""
+    n = draw(st.integers(1, 4))
+    linking = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            linking[i][j] = linking[j][i] = draw(st.integers(-3, 3))
+    slopes = st.tuples(st.integers(-8, 8), st.integers(0, 5)).filter(
+        lambda pq: pq != (0, 0)).map(lambda pq: Slope.make(*pq))
+    return FramedLink.make(linking, [draw(st.none() | slopes) for _ in range(n)])
+
+
+@settings(max_examples=300)
+@given(open_links())
+@example(chain3())
+@example(chain3("-1", None, "5/2"))
+@example(chain3("2", "3", "-4"))
+@example(FramedLink.make(((0, 3, 0, -2), (3, 0, 1, 0), (0, 1, 0, 2), (-2, 0, 2, 0)),
+                         ("4", None, "-7/3", None)))
+def test_h1_is_the_checked_cokernel(link):
+    """h1 reads the Smith diagonal of the rows it builds without the row
+    check of AbelianGroup.from_presentation, and gives the same group."""
+    group = h1(link)
+    assert group == AbelianGroup.from_presentation(h1_presentation(link),
+                                                   link.num_components)
+    assert_valid(group)
 
 
 def test_whitehead_coerces_its_coefficients():
@@ -248,7 +280,7 @@ def test_values_survive_pickle_and_deepcopy():
 
 
 def test_enumerate_configs_builds_only_what_it_returns(monkeypatch):
-    """The parity rule is tested on the counts, so no configuration is
+    """The parity rule is in the loop's steps, so no configuration is
     built, checked or not, only to be thrown away."""
     built = collections.Counter()
     build = fatgraph._config
