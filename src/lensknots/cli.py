@@ -26,7 +26,7 @@ from .families import FamilyId, _exception_detail, family_space, instantiate, ve
 from .fatgraph import iter_configs
 from .gridknots import find_torus_grid_witness
 from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant, trace
-from .surgery import INFINITE, core_order, h1, link_from_json
+from .surgery import INFINITE, core_order, h1, link_from_json, link_to_obj
 
 
 def _order_str(o):
@@ -40,8 +40,7 @@ def _render_instance(inst):
     else:
         lines.append(f"rq: ({inst.rq[0]}, {inst.rq[1]})")
     lines.append(f"space: {inst.space}")
-    coeffs = ", ".join("-" if c is None else str(c)
-                       for c in inst.surgery.coefficients)
+    coeffs = ", ".join(link_to_obj(inst.surgery)["coefficients"])
     lines.append(f"surgery: {inst.surgery.name}({coeffs}),"
                  f" core component {inst.core_index}")
     lines.append(f"s={_order_str(inst.order_s)}")

@@ -114,7 +114,7 @@ class FamilyInstance:
     space: LensSpace   # normalized
     surgery: FramedLink
     core_index: int
-    order_s: int       # 0 encodes infinite order (S1xS2 only)
+    order_s: int       # INFINITE for S1xS2 only
     monodromy: object  # MappingWord, or None when not fibered
     grid_index: int
     torus_type: object  # (da, db) or None
@@ -356,7 +356,7 @@ def _alexander(slope):
 
 def _check_grid(inst):
     r = inst.space.order
-    got = grid1_order(inst.grid_index, r)  # 0 encodes infinite, same as order_s
+    got = grid1_order(inst.grid_index, r)  # INFINITE encoded as in order_s
     ok = got == inst.order_s
     if inst.torus_type is None:
         return ok, "grid index {} has order {} in H1 of {}", inst.grid_index, got, inst.space

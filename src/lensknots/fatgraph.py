@@ -44,6 +44,12 @@ CLASSES = {"A": (1, 0), "B": (1, 1), "C": (0, 1)}
 BUNDLE_ORDER = ("A", "B", "C")
 
 
+def _check_t(t):
+    """The rule of t, for ArcSystemConfig and iter_configs."""
+    if type(t) is not int or t < 2 or t % 2:
+        raise ValueError(f"t must be an even int of at least 2, got {t!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ArcSystemConfig:
     """Arc bundle multiplicities for a knot of order s and t torus punctures."""
@@ -61,8 +67,7 @@ class ArcSystemConfig:
             raise ValueError(f"s, t, multiplicities and offset must be ints, got {fields}")
         if self.s < 1:
             raise ValueError(f"s must be at least 1, got {self.s}")
-        if self.t < 2 or self.t % 2:
-            raise ValueError(f"t must be even and at least 2, got {self.t}")
+        _check_t(self.t)
         if min(self.counts) < 0:
             raise ValueError(f"multiplicities must be nonnegative, got {self.counts}")
         if sum(self.counts) != self.num_edges:
@@ -385,8 +390,7 @@ def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
 def iter_configs(t, max_parallel, require_max=False):
     """The configurations of enumerate_configs, one at a time, in the same
     order; an invalid argument raises ValueError at the first one."""
-    if type(t) is not int or t < 2 or t % 2:
-        raise ValueError(f"t must be an even int of at least 2, got {t!r}")
+    _check_t(t)
     if type(max_parallel) is not int or max_parallel < 1:
         raise ValueError(f"max_parallel must be an int of at least 1, got {max_parallel!r}")
     # a bundle reaches M only once E = s*t/2 >= M, that is from s = ceil(2M/t)
@@ -402,15 +406,11 @@ def iter_configs(t, max_parallel, require_max=False):
         # t opposite label parity is opposite slot parity.  So a and b step
         # by 2 in E's parity class, and c = E - a - b falls in it too; the
         # one exception is b = c = 0, which needs a = E and is yielded
-        # apart.  With require_max, M <= E <= 3M puts a = M in range for
-        # every s scanned, and the rule admits it only when E + M is even
+        # apart.  With require_max, a is M alone, when a_range holds it
+        low = -(-target // 3)
+        a_range = range(low + (low + target) % 2, min(max_parallel, target) + 1, 2)
         if require_max:
-            if (target + max_parallel) % 2:
-                continue
-            a_range = [max_parallel]
-        else:
-            low = -(-target // 3)
-            a_range = range(low + (low + target) % 2, min(max_parallel, target) + 1, 2)
+            a_range = [max_parallel] if max_parallel in a_range else ()
         for a in a_range:
             if a == target:
                 yield _config(s, t, a, 0, 0, 0)

@@ -17,18 +17,18 @@ from __future__ import annotations
 
 from math import gcd
 
-from .lenspaces import q_orbit
+from .lenspaces import INFINITE, q_orbit
 
 
 def grid1_order(n, r):
     """Order of n times the core generator in H1(L(r,q)) = Z/r: r // gcd(n, r).
 
-    r = 0 stands for S1xS2, where any n != 0 has infinite order, encoded as 0."""
+    r = 0 stands for S1xS2, where any n != 0 has INFINITE order."""
     if not (type(n) is type(r) is int):
         raise ValueError(f"grid1_order needs ints n and r, got n={n!r}, r={r!r}")
     r = abs(r)
     if r == 0:
-        return 1 if n == 0 else 0
+        return 1 if n == 0 else INFINITE
     return r // gcd(n, r)
 
 
@@ -57,11 +57,28 @@ def _closes(r, qdot, da, db):
     once its arguments are checked; no list is built."""
     # the da + db - 1 interior residues must be distinct and nonzero mod r,
     # and the last one must be 0.  Once da + db <= r, the first da of them
-    # are 1..da, and the other db - 1, da + i*qdot for 0 < i < db, are
+    # are 1..da, and the other db - 1, x = da + i*qdot for 0 < i < db, are
     # distinct since qdot is a unit; so the strands embed unless one of
-    # those lands in 0..da
-    return not (da + db > r or (da + db * qdot) % r
-                or any((da + i * qdot) % r <= da for i in range(1, db)))
+    # those lands in 0..da.  As da < r, [x mod r <= da] is
+    # floor(x/r) - floor((x-da-1)/r), and its sum over i is two floor sums
+    if da + db > r or (da + db * qdot) % r:
+        return False
+    q = qdot % r
+    return _floor_sum(db - 1, r, q, q + da) == _floor_sum(db - 1, r, q, q - 1)
+
+
+def _floor_sum(n, m, a, b):
+    """The sum of floor((a*i + b)/m) over 0 <= i < n, for n, b >= 0 and
+    0 <= a < m, in O(log m) steps (the floor_sum of the AtCoder Library)."""
+    total = n * (b // m)
+    y = a * n + b % m
+    while y >= m:
+        # the lattice points under the line, counted with the axes swapped
+        n, b = y // m, y % m
+        total += n * (n - 1) // 2 * (m // a) + n * (b // a)
+        m, a, b = a, m % a, b % a
+        y = a * n + b
+    return total
 
 
 def _sequence(r, qdot, da, db):

@@ -51,6 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import gcd
 
+# order of an infinite-order element or infinite group, for every module;
+# with this encoding |H1| = |det| of the presentation holds for every
+# closed manifold
+INFINITE = 0
+
 
 def _trusted_builder(cls):
     """A function of cls's field values, in field order, that builds a cls
@@ -92,7 +97,7 @@ class LensSpace:
 
     @property
     def order(self):
-        """Order of the first homology group; 0 means infinite (S1xS2)."""
+        """Order of the first homology group; INFINITE for S1xS2."""
         return abs(self.p)
 
     def __str__(self):

@@ -13,7 +13,7 @@ reducible ones, and a cyclic word in R = x and L = y^-1 for pseudo-Anosov
 ones.  The label is computed on integers alone: conjugating by powers of
 x and y shrinks the off-diagonal entries until they share a sign (a Gauss
 reduction), a pseudo-Anosov matrix is then made positive and peeled into
-runs R^n, L^n by the Euclidean algorithm, and Booth's algorithm picks the
+runs R^n, L^n by the Euclidean algorithm, and a two-pointer scan picks the
 least rotation over the runs.  The label is run-length encoded (LRRR is
 "LR^3", LR stays "LR"), so its cost grows with the number of runs, not
 with the size of the exponents.
@@ -217,26 +217,27 @@ def conjugacy_invariant(w) -> str:
     if runs[0][0] == runs[-1][0]:  # merge the runs meeting at the cyclic seam
         letter, n = runs.pop()
         runs[0] = (letter, runs[0][1] + n)
-    i = _booth_start(runs)
+    i = _least_start(runs)
     return "".join("LR"[letter] + (f"^{abs(n)}" if abs(n) > 1 else "")
                    for letter, n in runs[i:] + runs[:i])
 
 
-def _booth_start(keys):
-    """Start of the lexicographically least rotation (Booth's algorithm)."""
+def _least_start(keys):
+    """Start of the lexicographically least rotation of keys, by two
+    pointers: starts i and j are compared k keys deep, and a mismatch at
+    depth k rules out the losing start and the k starts after it, none of
+    which can begin a rotation less than the winner's."""
+    n = len(keys)
     s = keys + keys
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        i = fail[j - k - 1]
-        while i != -1 and s[j] != s[k + i + 1]:
-            if s[j] < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if s[j] != s[k + i + 1]:  # here i == -1
-            if s[j] < s[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a < b:
+            j += k + 1
         else:
-            fail[j - k] = i + 1
-    return k
+            i, j = j, max(j, i + k) + 1
+        k = 0
+    return i

@@ -20,12 +20,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .lenspaces import Slope, _trusted_builder
+from .lenspaces import INFINITE, Slope, _trusted_builder
 from .snf import determinant, smith_normal_form
-
-# order of an infinite-order element or infinite group; with this encoding
-# |H1| = |det| of the presentation holds for every closed manifold
-INFINITE = 0
 
 UNFILLED = None
 
@@ -198,8 +194,6 @@ def core_order(link: FramedLink, i: int):
     diagonal is the torsion's order, since its 1s change nothing.
     """
     n = _check_component(link, i)
-    if link.coefficients[i] is None:
-        raise ValueError(f"component {i} is not filled")
     if None in link.coefficients:
         raise ValueError("core_order needs a closed manifold: fill every component")
     rows = h1_presentation(link)

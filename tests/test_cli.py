@@ -446,6 +446,7 @@ MALFORMED_LINKS = {
     "string-coefficients": '{"schema_version": 1, "linking": [[0]], "coefficients": "3"}',
     "deep-nesting": "[" * 100000 + "]" * 100000,
     "list-name": '{"schema_version": 1, "linking": [[0]], "coefficients": ["1"], "name": [1]}',
+    "too-few-coefficients": '{"schema_version": 1, "linking": [[0, 0], [0, 0]], "coefficients": ["1"]}',
 }
 
 

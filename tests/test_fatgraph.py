@@ -144,8 +144,11 @@ def test_build_and_validation():
     assert cfg.num_edges == 3 and cfg.num_slots == 6
     with pytest.raises(ValueError):
         ArcSystemConfig(3, 2, 1, 1, 0)  # 2 arcs but s*t/2 = 3
-    with pytest.raises(ValueError):
+    # the rule of t and its text are iter_configs', so enum-graphs says the same
+    with pytest.raises(ValueError, match=r"^t must be an even int of at least 2, got 3$"):
         ArcSystemConfig(2, 3, 3, 0, 0)  # odd t
+    with pytest.raises(ValueError, match=r"^t must be an even int of at least 2, got 3$"):
+        enumerate_configs(3, 2)
     with pytest.raises(ValueError):
         ArcSystemConfig(0, 2, 0, 0, 0)
     with pytest.raises(ValueError):

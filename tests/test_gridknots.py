@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -7,6 +8,7 @@ from lensknots import gridknots
 from lensknots.cli import run
 from lensknots.gridknots import (find_torus_grid_witness, grid1_order,
                                  torus_grid_slope, torus_knot_sequence)
+from lensknots.lenspaces import INFINITE
 
 # The six closed-form sequence families of grid witnesses for the knotted
 # torus knot types.  Each entry: parameter -> (r, q, da, db, qdot, sequence);
@@ -56,7 +58,7 @@ def test_grid1_order():
     assert grid1_order(2, 6) == 3
     assert grid1_order(3, 6) == 2
     assert grid1_order(0, 6) == 1
-    assert grid1_order(1, 0) == 0  # infinite order in S1xS2
+    assert grid1_order(1, 0) == INFINITE  # S1xS2
     assert grid1_order(0, 0) == 1
     for k in range(1, 51):
         assert grid1_order(abs(3 * k - 1), 9 * k - 3) == 3
@@ -133,6 +135,65 @@ def test_sequence_matches_full_build_exhaustively():
                         r, qdot, da, db), (r, qdot, da, db)
                     cases += 1
     assert cases == 118302
+
+
+def scan_closes(r, qdot, da, db):
+    """Reference: the decision of _closes with its collision test made
+    residue by residue, in O(db) time."""
+    return not (da + db > r or (da + db * qdot) % r
+                or any((da + i * qdot) % r <= da for i in range(1, db)))
+
+
+def test_closes_matches_residue_scan_exhaustively():
+    """Every unit qdot in -r..r with 2 <= r <= 30 and 1 <= da, db <= r + 1:
+    the colliding residues counted by two floor sums are none exactly when
+    the scan finds none."""
+    cases = 0
+    for r in range(2, 31):
+        for qdot in [q for q in range(-r, r + 1) if math.gcd(q, r) == 1]:
+            for da in range(1, r + 2):
+                for db in range(1, r + 2):
+                    assert gridknots._closes(r, qdot, da, db) == scan_closes(
+                        r, qdot, da, db), (r, qdot, da, db)
+                    cases += 1
+    assert cases == 277022
+
+
+@given(st.integers(61, 10 ** 30), st.integers(-10 ** 30, 10 ** 30),
+       st.one_of(st.integers(1, 100), st.integers(1, 10 ** 30)), st.integers(1, 60))
+def test_closes_matches_residue_scan_on_big_moduli(r, n, da, db):
+    """Closing candidates on moduli up to 10^30: qdot = -da/db mod r puts
+    the last residue at 0, so the collision count decides."""
+    da = (da - 1) % (r - db) + 1  # so da + db <= r
+    assume(math.gcd(db, r) == math.gcd(da, r) == 1)
+    qdot = -da * pow(db, -1, r) % r + n * r  # any lift of the unit
+    assert gridknots._closes(r, qdot, da, db) == scan_closes(r, qdot, da, db)
+
+
+def test_floor_sum_matches_brute_force():
+    for n in range(12):
+        for m in range(1, 16):
+            for a in range(m):
+                for b in range(40):
+                    assert gridknots._floor_sum(n, m, a, b) == sum(
+                        (a * i + b) // m for i in range(n)), (n, m, a, b)
+
+
+@given(st.integers(0, 80), st.integers(1, 10 ** 30), st.integers(0, 10 ** 30),
+       st.integers(0, 10 ** 31))
+def test_floor_sum_matches_brute_force_on_big_ints(n, m, a, b):
+    a %= m
+    assert gridknots._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_colliding_candidate_is_refused_without_a_scan(capsys):
+    """A closing candidate whose 50 million residues a scan took seconds to
+    refuse: the floor sums take O(log r) steps."""
+    start = time.perf_counter()
+    assert run(["grid", "--r", "50000017", "--q", "21428579", "--da", "2",
+                "--db", "50000010"]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == "FAILURE\n"
 
 
 def full_build_slope(r, q, da, db):

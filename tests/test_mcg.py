@@ -1,13 +1,14 @@
 import itertools
+import random
 import re
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lensknots.mcg import (IDENTITY, MappingWord, NTClass, bundle_h1, classify,
-                           conjugacy_invariant, evaluate, lens_filling_word,
-                           mat_mul, trace)
+from lensknots.mcg import (IDENTITY, MappingWord, NTClass, _least_start, bundle_h1,
+                           classify, conjugacy_invariant, evaluate,
+                           lens_filling_word, mat_mul, trace)
 from lensknots.surgery import UNFILLED, AbelianGroup, h1, whitehead
 from test_surgery import solve_bezout
 
@@ -338,3 +339,63 @@ def test_huge_exponents_stay_run_length():
     n = 10 ** 40
     assert conjugacy_invariant(f"x^{n} y^-{n}") == f"L^{n}R^{n}"
     assert conjugacy_invariant(f"x^{n} y^-3 x^-{n}") == "parabolic:-3"
+
+
+# --- reference oracle: Booth's least rotation ----------------------------------
+#
+# The least-rotation search that conjugacy_invariant used before the two
+# pointers: a Knuth-Morris-Pratt failure table over the doubled list.
+
+
+def booth_start(keys):
+    """Start of the lexicographically least rotation (Booth's algorithm)."""
+    s = keys + keys
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        i = fail[j - k - 1]
+        while i != -1 and s[j] != s[k + i + 1]:
+            if s[j] < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if s[j] != s[k + i + 1]:  # here i == -1
+            if s[j] < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def rotated(keys, i):
+    return keys[i:] + keys[:i]
+
+
+def assert_least_rotation(keys):
+    """_least_start and Booth's algorithm give the least rotation.  A
+    periodic list has several least starts, so the rotations are compared,
+    not the starts."""
+    least = rotated(keys, _least_start(keys))
+    assert least == rotated(keys, booth_start(keys)), keys
+    assert least == min(rotated(keys, i) for i in range(len(keys))), keys
+
+
+RUN_KEYS = [(1, 1), (1, 2), (1, 3), (0, -1), (0, -2), (0, -3)]
+
+
+@given(st.lists(st.sampled_from(RUN_KEYS), min_size=1, max_size=24),
+       st.integers(1, 6))
+def test_least_start_matches_booth(keys, copies):
+    """On a random run list and on the periodic list of its copies."""
+    assert_least_rotation(keys)
+    assert_least_rotation(keys * copies)
+
+
+def test_least_start_matches_booth_on_seeded_lists():
+    """Random run lists of two or three keys, where ties run deep, each
+    also repeated, so periods of every length up to 30 occur."""
+    rng = random.Random(29)
+    for _ in range(3000):
+        keys = [rng.choice(RUN_KEYS[:rng.randint(2, 3)]) for _ in range(rng.randint(1, 30))]
+        assert_least_rotation(keys)
+        assert_least_rotation(keys * rng.randint(2, 5))

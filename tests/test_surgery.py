@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lensknots.lenspaces import Slope
+from lensknots import lenspaces, surgery
+from lensknots.families import instantiate
+from lensknots.gridknots import grid1_order
+from lensknots.lenspaces import LensSpace, Slope
 from lensknots.snf import determinant
 from lensknots.surgery import (INFINITE, UNFILLED, AbelianGroup, FramedLink,
                                blow_down, chain3, core_order, h1,
@@ -36,6 +39,10 @@ def test_framed_link_validation():
         FramedLink(((0,),), [None])
     with pytest.raises(ValueError):
         FramedLink(((0,),), (None,), name=["unknot"])
+    with pytest.raises(ValueError, match="one filling coefficient per component"):
+        FramedLink(((0,),), (None, None))
+    with pytest.raises(ValueError, match="is not a slope"):
+        FramedLink(((0,),), ("1",))  # a string: make parses it
     link = FramedLink.make(((0, 2), (2, 0)), ("-3", None))
     assert {link: 1}[FramedLink.make([[0, 2], [2, 0]], ["-3", None])] == 1
     assert link.coefficients[0] == Slope(-3, 1)
@@ -57,6 +64,11 @@ def test_abelian_group_basics():
     g = AbelianGroup(0, (2, 6))
     assert g.order() == 12 and not g.is_cyclic and str(g) == "Z/2 + Z/6"
     assert AbelianGroup(1, ()).order() == INFINITE
+    # one encoding of infinite order, defined in lenspaces, for every module
+    assert surgery.INFINITE is lenspaces.INFINITE
+    assert LensSpace(0, 1).order == INFINITE
+    assert grid1_order(1, 0) == INFINITE
+    assert instantiate("VI", rq=(0, 1)).order_s == INFINITE
     assert AbelianGroup(0, ()).order() == 1
     assert str(AbelianGroup(0, ())) == "0"
     assert str(AbelianGroup(2, (3,))) == "Z^2 + Z/3"
@@ -155,10 +167,11 @@ def test_core_order_examples():
     # surgery dual of -p/q on the unknot generates Z/p
     assert core_order(unknot("-12/5"), 0) == 12
     assert core_order(unknot("0"), 0) == INFINITE
-    with pytest.raises(ValueError):
-        core_order(whitehead("-3", UNFILLED), 1)
-    with pytest.raises(ValueError):
-        core_order(whitehead("-3", UNFILLED), 0)
+    # an unfilled component, the core's own or another, leaves no closed
+    # manifold, and one check says so
+    for i in (0, 1):
+        with pytest.raises(ValueError, match="fill every component"):
+            core_order(whitehead("-3", UNFILLED), i)
 
 
 # --- reference oracle: the core order from a Bezout solution -----------------
