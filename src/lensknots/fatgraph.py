@@ -23,10 +23,14 @@ leave by the next slot; the circles are the cycles of
 m -> (partner(m) + 1) mod s*t.  Between neighbouring arcs j-1 and j of a
 bundle lies a bigon, whose slots, corners and colour are closed forms of
 j (see _bigons); it is a Scharlemann cycle exactly when t divides
-E + n - 2j.  Only the circles through the first start and first end slot
-of each bundle, at most six slots in all, are traced.  Circles that are
-null-homologous in the torus bound complementary disks; homologically
-essential circles come in pairs bounding a single annulus region.
+E + n - 2j.  The other circles run through the first start b and first
+end E+b of each nonempty bundle, and nested pairing fixes them too (see
+_outer_walk): leaving by b a circle next leaves by the next bundle's
+first end, and leaving by E+b by the next bundle's first start, so no
+circle is walked slot by slot.  Circles that are null-homologous in the
+torus bound complementary disks; homologically essential circles come in
+a pair bounding a single annulus region, exactly when one bundle is
+nonempty.
 
 Construction rule: see the `lenspaces` docstring, which lists the
 producers here that skip the dataclass check.
@@ -96,7 +100,7 @@ class ArcSystemConfig:
         if not 0 <= m < 2 * e:
             raise IndexError(f"slot {m} out of range 0..{2 * e - 1}")
         r = m - e if m >= e else m
-        # the bundles in BUNDLE_ORDER, unrolled: this runs for every traced slot
+        # the bundles in BUNDLE_ORDER, unrolled
         n_a, n_b = self.n_a, self.n_b
         if r < n_a:
             return "A", n_a, 0
@@ -109,12 +113,6 @@ class ArcSystemConfig:
         letter, _, b = self._bundle(m)
         e = self.num_edges
         return (letter, m - b, True) if m < e else (letter, m - e - b, False)
-
-    def edge_of_slot(self, m):
-        """Edge id (letter, j) of the arc with an end at slot m."""
-        letter, n, b = self._bundle(m)
-        e = self.num_edges
-        return letter, (m - b if m < e else e + b + n - 1 - m)
 
     def partner(self, m):
         """The other end of the arc ending at slot m (nested pairing)."""
@@ -203,43 +201,6 @@ _color = attrgetter("color")
 _NULL = (0, 0)  # the homology class of a bigon
 
 
-def _trace_circle(cfg, start, seen):
-    """Trace the circle that leaves by slot start, adding its out slots to
-    seen."""
-    partner, edge_of_slot = cfg.partner, cfg.edge_of_slot
-    e = cfg.num_edges
-    out_slots = []
-    corners = []
-    edges = []
-    x = y = 0
-    p = start
-    for _ in range(2 * e):
-        out_slots.append(p)
-        edge = edge_of_slot(p)
-        edges.append(edge)
-        # an arc is traversed along its class from its start to its end
-        dx, dy = CLASSES[edge[0]]
-        if p < e:
-            x, y = x + dx, y + dy
-        else:
-            x, y = x - dx, y - dy
-        arrive = partner(p)
-        corners.append(arrive)
-        p = arrive + 1
-        if p == 2 * e:
-            p = 0
-        if p == start:
-            break
-    else:
-        raise AssertionError(f"the circle from slot {start} does not close in {2 * e} steps")
-    seen.update(out_slots)
-    color = None
-    # at t = 2 the colour of corner g depends only on the parity of g
-    if cfg.t == 2 and len({g % 2 for g in corners}) == 1:
-        color = cfg.corner_color(corners[0])
-    return _circle(tuple(out_slots), tuple(corners), frozenset(edges), (x, y), color)
-
-
 def _bigons(cfg, letter, n, b, first, step):
     """Bigons j = first, first+step, ... below n of the bundle `letter` of
     n arcs from slot b, as four iterators over the fields of their Circles
@@ -270,6 +231,17 @@ def _bigons(cfg, letter, n, b, first, step):
     return outs, corners, edges, colors
 
 
+def _outer_circle(cfg, legs):
+    """The Circle that leaves by the legs' out slots in turn, each leg an
+    (out slot, corner, edge id, x, y) with (x, y) its step in class."""
+    outs, corners, edges, xs, ys = zip(*legs)
+    color = None
+    # at t = 2 the colour of corner g depends only on the parity of g
+    if cfg.t == 2 and len({g % 2 for g in corners}) == 1:
+        color = cfg.corner_color(corners[0])
+    return _circle(outs, corners, frozenset(edges), (sum(xs), sum(ys)), color)
+
+
 def _outer_walk(cfg):
     """The circles of cfg that are not bigons, in bundle order.
 
@@ -281,37 +253,42 @@ def _outer_walk(cfg):
     holds the essential circles, none or a pair, in that order.
 
     The slots off the bigons are the first start b and first end E+b of
-    each nonempty bundle, at most six, so only these are traced; tracing
-    the start slots before the end slots begins each circle at its least
-    slot.  Checks the invariants of the whole decomposition.
+    each nonempty bundle, and nested pairing fixes their successors.
+    Leaving by b, a circle arrives at E+b+n-1 and leaves next by the next
+    nonempty bundle's first end, or by slot 0 after the last bundle;
+    leaving by E+b, it arrives at b+n-1 and leaves next by the next
+    bundle's first start, or by slot E after the last.  So with starts
+    s0, s1, s2 and ends e0, e1, e2 of the nonempty bundles, the circles
+    are (s0, e1, s2) and (s1, e2, e0) for three bundles, (s0, e1, e0, s1)
+    for two, and (s0), (e0) for one: the only essential circles, a pair
+    whose classes cancel.
     """
     if not isinstance(cfg, ArcSystemConfig):
         raise ValueError(f"expected an ArcSystemConfig, got {cfg!r}")
     e = cfg.num_edges
-    bundles = []
+    bundles, starts, ends = [], [], []
     b = 0
     for letter, n in zip(BUNDLE_ORDER, cfg.counts):
         if n:
             bundles.append((letter, n, b))
+            # an arc is traversed along its class from its start to its end
+            x, y = CLASSES[letter]
+            starts.append((b, e + b + n - 1, (letter, 0), x, y))
+            ends.append((e + b, b + n - 1, (letter, n - 1), -x, -y))
         b += n
-    seen = set()
-    outer = [_trace_circle(cfg, m, seen)
-             for m in [b for _, _, b in bundles] + [e + b for _, _, b in bundles]
-             if m not in seen]
-    # bigons fill 2(n-1) slots of each bundle and these circles the rest
-    assert 2 * (e - len(bundles)) + sum(c.length for c in outer) == 2 * e
-    essential = [c for c in outer if c.is_essential]
-    # a disjoint union of circles on the torus has zero total class, and
-    # at most one complementary region is not a disk, so essential circles
-    # cancel in a single pair bounding one annulus
-    assert len(essential) in (0, 2)
-    if essential:
-        a, c = essential
-        assert (a.h1_class[0] + c.h1_class[0],
-                a.h1_class[1] + c.h1_class[1]) == (0, 0)
+    m = len(bundles)
+    # from s0 (or e0) a circle alternates between starts and ends bundle by
+    # bundle; after the last bundle it is back where it began when m is odd
+    # and goes on from e0 (or s0) when m is even.  The circle from e0 is
+    # listed from its least slot, s1 when there is one
+    first = [(starts, ends)[i % 2][i] for i in range(m)]   # s0, e1, s2
+    second = [(ends, starts)[i % 2][i] for i in range(m)]  # e0, s1, e2
+    walks = [first + second] if m == 2 else [first, second[1:] + second[:1]]
+    outer = [_outer_circle(cfg, walk) for walk in walks]
     heads = {c.out_slots[0]: c for c in outer if c.out_slots[0] < e}
     steps = [(heads.get(b), letter, n, b) for letter, n, b in bundles]
-    return steps, [c for c in outer if c.out_slots[0] >= e], essential
+    tail = [c for c in outer if c.out_slots[0] >= e]
+    return steps, tail, outer if m == 1 else []
 
 
 def faces(cfg: ArcSystemConfig) -> FaceReport:
@@ -361,7 +338,7 @@ def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
     Such a disk has every corner at the same gap value mod t and every edge
     joining the two labels adjacent to that gap; it is the basic tool for
     bounding the intersection number t.  The cycles are read off the
-    configuration's bigons in closed form and its few traced circles,
+    configuration's bigons and its outer circles, both in closed form,
     without building its faces.
     """
     steps, tail, _ = _outer_walk(cfg)
@@ -393,9 +370,18 @@ def iter_configs(t, max_parallel, require_max=False):
     _check_t(t)
     if type(max_parallel) is not int or max_parallel < 1:
         raise ValueError(f"max_parallel must be an int of at least 1, got {max_parallel!r}")
-    # a bundle reaches M only once E = s*t/2 >= M, that is from s = ceil(2M/t)
-    first = -(-2 * max_parallel // t) if require_max else 1
-    for s in range(first, 6 * max_parallel // t + 1):
+    first, step = 1, 1
+    if require_max:
+        # a bundle reaches M only once E = s*t/2 >= M, that is from
+        # s = ceil(2M/t), and by the parity rule below only when E has M's
+        # parity: for t/2 odd that is s = M (mod 2), and for 4 | t every E
+        # is even, so an odd M admits nothing
+        first = -(-2 * max_parallel // t)
+        if t % 4:
+            first, step = first + (first + max_parallel) % 2, 2
+        elif max_parallel % 2:
+            return
+    for s in range(first, 6 * max_parallel // t + 1, step):
         target = s * t // 2
         # a >= b >= c >= 0 with a + b + c = E bounds a to ceil(E/3)..E and,
         # given a, b to ceil((E-a)/2)..min(a, E-a); c follows from a and b,
@@ -406,11 +392,13 @@ def iter_configs(t, max_parallel, require_max=False):
         # t opposite label parity is opposite slot parity.  So a and b step
         # by 2 in E's parity class, and c = E - a - b falls in it too; the
         # one exception is b = c = 0, which needs a = E and is yielded
-        # apart.  With require_max, a is M alone, when a_range holds it
-        low = -(-target // 3)
-        a_range = range(low + (low + target) % 2, min(max_parallel, target) + 1, 2)
+        # apart.  With require_max, a is M alone: the s above give E >= M
+        # of M's parity, and s <= 6M/t gives M >= E/3
         if require_max:
-            a_range = [max_parallel] if max_parallel in a_range else ()
+            a_range = (max_parallel,)
+        else:
+            low = -(-target // 3)
+            a_range = range(low + (low + target) % 2, min(max_parallel, target) + 1, 2)
         for a in a_range:
             if a == target:
                 yield _config(s, t, a, 0, 0, 0)

@@ -38,8 +38,8 @@ are exactly these:
 - `fatgraph.enumerate_configs` (and `iter_configs`), `faces` and
   `scharlemann_cycles`: the enumeration's loop bounds, which step the
   counts in the parity rule's class, make every configuration valid, and
-  circles, regions, reports and cycles are closed forms or traces of a
-  valid configuration.
+  circles, regions, reports and cycles are closed forms of a valid
+  configuration.
 
 Every value class is a frozen dataclass with slots, so
 `dataclasses.replace(v)` rebuilds a value through the full check;

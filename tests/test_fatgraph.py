@@ -170,7 +170,7 @@ def test_invalid_configs_raise_value_error(args):
 def test_slots_out_of_range_raise_index_error():
     cfg = ArcSystemConfig(3, 2, 1, 1, 1)
     for m in (-2, -1, 6, 7):
-        for lookup in (cfg.partner, cfg.slot_info, cfg.edge_of_slot):
+        for lookup in (cfg.partner, cfg.slot_info):
             with pytest.raises(IndexError):
                 lookup(m)
 
@@ -248,10 +248,12 @@ def test_loop_bounds_keep_the_triples_and_their_order(t, m):
 
 def test_require_max_skips_every_s_the_parity_rule_refuses(capsys):
     """With t divisible by 4 every E is even, so an odd M admits nothing:
-    the loop skips each s without scanning its counts, where it once took
-    15 s to print the count."""
-    assert run(["enum-graphs", "--t", "4", "--max-parallel", "8001", "--require-max"]) == 0
-    assert capsys.readouterr().out == "count: 0\n"
+    the loop visits no s, where it once took time linear in M to print
+    the count, and a 4,000-digit M would have run for ever."""
+    big = str(10 ** 3999 + 1)
+    for t in (4, 8):
+        assert run(["enum-graphs", "--t", str(t), "--max-parallel", big, "--require-max"]) == 0
+        assert capsys.readouterr().out == "count: 0\n"
 
 
 def test_region_length_is_for_disks():
@@ -273,7 +275,7 @@ def test_slot_partner_involution(s, a, b, c):
         partner = cfg.partner(m)
         assert partner != m
         assert cfg.partner(partner) == m
-        assert cfg.edge_of_slot(partner) == cfg.edge_of_slot(m)
+        assert ref_edge_of_slot(cfg, partner) == ref_edge_of_slot(cfg, m)
 
 
 # --- a scan-based reference for the closed-form fat graph --------------------
@@ -377,7 +379,6 @@ def configs(draw, max_edges=40):
 def test_tables_agree_with_scan_reference(cfg):
     for m in range(cfg.num_slots):
         assert cfg.slot_info(m) == ref_slot_info(cfg, m)
-        assert cfg.edge_of_slot(m) == ref_edge_of_slot(cfg, m)
         assert cfg.partner(m) == ref_partner(cfg, m)
     report = faces(cfg)
     ref = ref_faces(cfg)
@@ -399,7 +400,6 @@ def test_closed_form_agrees_with_scan_reference_exhaustively():
             cfg = dataclasses.replace(base, offset=offset)
             for m in range(cfg.num_slots):
                 assert cfg.slot_info(m) == ref_slot_info(cfg, m)
-                assert cfg.edge_of_slot(m) == ref_edge_of_slot(cfg, m)
                 assert cfg.partner(m) == ref_partner(cfg, m)
             ref = ref_faces(cfg)
             assert faces(cfg) == ref, cfg
@@ -409,49 +409,63 @@ def test_closed_form_agrees_with_scan_reference_exhaustively():
 
 
 def test_only_the_outer_circles_are_traced(monkeypatch):
-    """Bigons come in closed form: faces and scharlemann_cycles each ask
-    for at most six partners, however many arcs, and scharlemann_cycles
-    does not build the faces."""
-    calls = []
-    partner = ArcSystemConfig.partner
+    """Bigons and the outer circles come in closed form: faces and
+    scharlemann_cycles ask for no partner at all, however many arcs, and
+    scharlemann_cycles does not build the faces."""
 
-    def counted(cfg, m):
-        calls.append(m)
-        return partner(cfg, m)
+    def no_partner(cfg, m):
+        raise AssertionError(f"partner({m}) was asked for")
 
-    monkeypatch.setattr(ArcSystemConfig, "partner", counted)
+    monkeypatch.setattr(ArcSystemConfig, "partner", no_partner)
     cfg = ArcSystemConfig(1000, 2, 400, 350, 250)
     report = faces(cfg)
-    assert 0 < len(calls) <= 6
     assert len(report.disks) == cfg.num_edges - 1
 
     def no_faces(cfg):
         raise AssertionError("scharlemann_cycles built the faces")
 
     monkeypatch.setattr(fatgraph, "faces", no_faces)
-    calls.clear()
     cycles = scharlemann_cycles(cfg)
-    assert 0 < len(calls) <= 6
     # at t = 2 with the parity rule every bigon is a Scharlemann cycle
     assert len(cycles) >= 399 + 349 + 249
 
 
-def test_a_broken_pairing_stops_the_circle_walk(monkeypatch):
-    """A pairing whose circle never returns to its start slot fails after
-    one lap of the slots, with an explicit raise that python -O keeps,
-    instead of growing the walk's lists until memory runs out."""
-    cfg = ArcSystemConfig(2, 2, 1, 1, 0)
-    calls = []
+def check_outer_circles(cfg):
+    """The identities of the nested-pairing rule.  With m nonempty bundles,
+    the circles through their first start and first end slots use those
+    2m slots and no others, since bigons fill the rest; essential circles
+    appear exactly when m = 1, as a pair whose classes cancel, and they
+    bound the one annulus."""
+    report = faces(cfg)
+    firsts, b = set(), 0
+    for n in cfg.counts:
+        if n:
+            firsts |= {b, cfg.num_edges + b}
+        b += n
+    m = len(firsts) // 2
+    outer = [c for c in report.circles if firsts & set(c.out_slots)]
+    assert sorted(p for c in outer for p in c.out_slots) == sorted(firsts), cfg
+    essential = [c for c in report.circles if c.is_essential]
+    if m == 1:
+        (one, other), = [r.circles for r in report.annuli]
+        assert essential == outer == [one, other], cfg
+        (x1, y1), (x2, y2) = one.h1_class, other.h1_class
+        assert (x1 + x2, y1 + y2) == (0, 0), cfg
+    else:
+        assert not essential and not report.annuli, cfg
 
-    def broken(cfg, m):
-        calls.append(m)
-        if len(calls) > 10 * cfg.num_slots:
-            raise RuntimeError("the circle walk is unbounded")
-        return 0
 
-    monkeypatch.setattr(ArcSystemConfig, "partner", broken)
-    with pytest.raises(AssertionError, match="does not close in 4 steps"):
-        faces(cfg)
+def test_outer_circles_obey_the_rule_exhaustively():
+    """Every configuration with at most 12 arcs at t = 2, 4, 6, at every
+    offset, empty bundles in any position included."""
+    for base in all_configs(max_edges=12, ts=(2, 4, 6)):
+        for offset in range(base.t):
+            check_outer_circles(dataclasses.replace(base, offset=offset))
+
+
+@given(configs())
+def test_outer_circles_obey_the_rule(cfg):
+    check_outer_circles(cfg)
 
 
 CONFIG_LINE = re.compile(r"s=(\d+) t=(\d+) arcs=\((\d+),(\d+),(\d+)\)")
