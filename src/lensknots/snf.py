@@ -13,11 +13,6 @@ Wider matrices go through elimination, which only diagonalizes; since
 diag(a, b) is equivalent to diag(gcd(a, b), lcm(a, b)), a closing pass over
 pairs of pivots turns the diagonal into the divisibility chain without
 touching the matrix again.
-
-The order of a finite H1 is |det| of its square presentation, which
-`determinant` computes by fraction-free (Bareiss) elimination: every
-division is exact, so the entries stay minors of the input and never
-become fractions.
 """
 
 from __future__ import annotations
@@ -107,36 +102,3 @@ def _two_column_form(rows):
     if minors:
         return [d1, minors // d1]
     return [d1] if d1 else []
-
-
-def determinant(rows):
-    """Determinant of a square integer matrix, by Bareiss elimination.
-
-    After step k every entry of the active block is a (k+1)x(k+1) minor of
-    the input, and the division by the previous pivot is exact (Sylvester's
-    identity), so the arithmetic stays in the integers throughout.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError(f"determinant of a non-square {n}-row matrix")
-    if n == 2:  # the closed form; every presentation `verify` builds is 2x2
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, top = m[k][k], m[k]
-        for r in m[k + 1:]:
-            f = r[k]
-            for j in range(k + 1, n):
-                r[j] = (r[j] * pivot - f * top[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .lenspaces import INFINITE, Slope, _trusted_builder
-from .snf import determinant, smith_normal_form
+from .snf import smith_normal_form
 
 UNFILLED = None
 
@@ -185,28 +185,41 @@ def core_order(link: FramedLink, i: int):
     any (c, d) with p*d - q*c = 1.  That row and the relation row of
     component i span the meridian e_i and the longitude sum_j lk(i,j)*e_j,
     so killing the core leaves the other relation rows and the longitude,
-    with column i dropped to quotient out e_i.  The order is |H1| over the
-    order of that quotient, or INFINITE (0) when the rank drops.  |H1| is
-    |det| of the square presentation; only when det = 0 does H1 itself
-    need a Smith form, to compare ranks.  Orders and ranks are read
-    straight off the Smith diagonals, with no group built: a presentation
-    of ncols columns has rank ncols - len(diag), and the product of the
-    diagonal is the torsion's order, since its 1s change nothing.
+    with column i dropped to quotient out e_i.  The order is the order of
+    H1 over that of the quotient, or INFINITE (0) when the rank drops.
+    Both are read straight off Smith diagonals, with no group built: a
+    presentation of ncols columns has rank ncols - len(diag), and the
+    product of the diagonal is the torsion's order, since its 1s change
+    nothing (for a finite H1 it is |det| of the square presentation).
     """
-    n = _check_component(link, i)
+    _check_component(link, i)
+    return _core_order(link, i, *_closed_h1(link))
+
+
+def core_orders(link: FramedLink):
+    """The core order of every component, as `core_order` gives it, with
+    the Smith diagonal of H1 taken once for all of them."""
+    rows, diag = _closed_h1(link)
+    return [_core_order(link, i, rows, diag) for i in range(len(rows))]
+
+
+def _closed_h1(link):
+    """The relation rows of a closed manifold's H1 and their Smith diagonal."""
     if None in link.coefficients:
         raise ValueError("core_order needs a closed manifold: fill every component")
     rows = h1_presentation(link)
+    return rows, smith_normal_form(rows)
+
+
+def _core_order(link, i, rows, diag):
+    """The core order of component i, from H1's rows and Smith diagonal."""
     others = rows[:i] + rows[i + 1:] + [link.linking[i]]
     diag2 = smith_normal_form([r[:i] + r[i + 1:] for r in others])
-    det = determinant(rows)
-    if det:  # H1 is finite, and so is its quotient
-        order, rest = divmod(abs(det), math.prod(diag2))
-    else:
-        diag = smith_normal_form(rows)
-        if n - 1 - len(diag2) < n - len(diag):  # the quotient's rank is lower
-            return INFINITE
-        order, rest = divmod(math.prod(diag), math.prod(diag2))
+    # on n generators H1 has rank n - len(diag) and the quotient, on n - 1,
+    # has rank n - 1 - len(diag2)
+    if len(diag2) >= len(diag):  # the quotient's rank is lower
+        return INFINITE
+    order, rest = divmod(math.prod(diag), math.prod(diag2))
     assert rest == 0
     return order
 

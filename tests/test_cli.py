@@ -15,7 +15,7 @@ from lensknots import cli, families
 from lensknots.cli import run
 from lensknots.families import FamilyInstance, instantiate
 from lensknots.lenspaces import LensSpace
-from lensknots.surgery import AbelianGroup, link_to_json, unknot, whitehead
+from lensknots.surgery import AbelianGroup, FramedLink, link_to_json, unknot, whitehead
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -415,6 +415,20 @@ def test_homology_unfilled_and_infinite(tmp_path, capsys):
     out, _ = out_of(capsys)
     assert "H1 = Z" in out
     assert "core order of component 0: infinite" in out
+
+
+def test_homology_singular_three_components(tmp_path, capsys):
+    """A singular H1 on three columns: the general Smith path gives two
+    infinite cores and one finite one."""
+    path = tmp_path / "singular.json"
+    path.write_text(link_to_json(FramedLink.make(
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]], ["1", "1", "3"])))
+    assert run(["homology", "--link", str(path)]) == 0
+    out, _ = out_of(capsys)
+    assert out == ("H1 = Z + Z/3\n"
+                   "core order of component 0: infinite\n"
+                   "core order of component 1: infinite\n"
+                   "core order of component 2: 3\n")
 
 
 def test_homology_malformed_slope(tmp_path, capsys):

@@ -105,11 +105,12 @@ def test_verify_passes_across_the_atlas():
 KNOTTED = ("I", "II", "III", "IV", "V")
 
 
-def test_verify_runs_two_smith_forms():
-    """One for the homology check and one for the core order, since |H1|
-    comes from a determinant; the fibration check runs none.  verify keeps
-    no state, so a fresh process makes the same calls on its first pass
-    over 200 instances as on its second."""
+def test_verify_runs_three_smith_forms():
+    """One for the homology check and two for the core order: `core_order`
+    now reads |H1| off the same 2x2 Smith form as the homology check, and
+    the order of the core quotient off another; the fibration check runs
+    none.  verify keeps no state, so a fresh process makes the same calls
+    on its first pass over 200 instances as on its second."""
     code = """if True:
         from lensknots import surgery
         from lensknots.families import instantiate, verify
@@ -131,7 +132,7 @@ def test_verify_runs_two_smith_forms():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "200 400 {2}\n" * 2
+    assert proc.stdout == "200 600 {3}\n" * 2
 
 
 # --- the Alexander polynomial of the fibration check ---------------------------

@@ -8,9 +8,8 @@ from lensknots import lenspaces, surgery
 from lensknots.families import instantiate
 from lensknots.gridknots import grid1_order
 from lensknots.lenspaces import LensSpace, Slope
-from lensknots.snf import determinant
 from lensknots.surgery import (INFINITE, UNFILLED, AbelianGroup, FramedLink,
-                               blow_down, chain3, core_order, h1,
+                               blow_down, chain3, core_order, core_orders, h1,
                                h1_presentation, link_from_json, link_to_json,
                                unknot, whitehead)
 
@@ -142,25 +141,6 @@ def test_h1_order_is_presentation_determinant(entries, raw_coeffs):
         assert group.order() == abs(d)
 
 
-@settings(max_examples=300)
-@given(st.sampled_from([1, 3, 10 ** 12]).flatmap(
-    lambda bound: st.integers(0, 5).flatmap(
-        lambda n: st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
-                           min_size=n, max_size=n))))
-def test_determinant_matches_cofactor_expansion(sq):
-    """Entries in -1..1 give zero pivots and singular matrices often."""
-    assert determinant(sq) == det(sq)
-
-
-def test_determinant_row_swaps():
-    assert determinant([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
-    assert determinant([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
-    assert determinant([[0, 1, 2], [0, 3, 4], [5, 6, 7]]) == 5 * (4 - 6)
-    assert determinant([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
-    with pytest.raises(ValueError):
-        determinant([[1, 2, 3], [4, 5, 6]])
-
-
 def test_core_order_examples():
     assert core_order(whitehead("-3", "-5/2"), 0) == 3
     assert core_order(whitehead("-2", "-9/2"), 0) == 2
@@ -252,7 +232,7 @@ def singular_links(draw):
     link = FramedLink.make([[a[i][j] if i != j else 0 for j in range(n)]
                             for i in range(n)],
                            [Slope(a[i][i], 1) for i in range(n)])
-    assert determinant(h1_presentation(link)) == 0
+    assert det(h1_presentation(link)) == 0
     return link
 
 
@@ -270,6 +250,24 @@ def test_core_order_bezout_independent(link, t):
         assert reference_core_order(link, i, (c, d)) == base
         # shift the canonical solution along the solution line by t
         assert reference_core_order(link, i, (c + t * p, d + t * q)) == base
+
+
+@settings(max_examples=200)
+@given(st.one_of(closed_links(), singular_links()), st.data())
+def test_core_orders_match_core_order(link, data):
+    """One Smith form of H1 for every component gives the per-component
+    orders; with a component left unfilled both refuse the link alike."""
+    n = link.num_components
+    assert core_orders(link) == [core_order(link, i) for i in range(n)]
+    gone = data.draw(st.integers(0, n - 1))
+    half = FramedLink.make(link.linking, [None if j == gone else c
+                                          for j, c in enumerate(link.coefficients)])
+    with pytest.raises(ValueError) as many:
+        core_orders(half)
+    for i in range(n):
+        with pytest.raises(ValueError) as one:
+            core_order(half, i)
+        assert str(one.value) == str(many.value)
 
 
 def test_blow_down_chain_to_whitehead():
