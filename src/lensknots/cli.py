@@ -21,8 +21,10 @@ import json
 import os
 import sys
 from collections import deque
+from operator import itemgetter
 
-from .families import FamilyId, _exception_detail, family_space, instantiate, verify
+from .families import (FamilyId, _exception_detail, _label, _report_of, _run_checks,
+                       family_space, instantiate)
 from .fatgraph import iter_configs
 from .gridknots import find_torus_grid_witness
 from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant, trace
@@ -95,23 +97,29 @@ _SPAN_CAP = 256
 
 # The fewest instances a forked worker must get to pay for its fork, so a
 # worker gets at least one full span.  The latest sweeps on two vCPUs (see
-# README) have `--jobs 2` break even with one process at 750-875
-# instances and win from 1,000, so the smallest range that forks, 800
+# README) have `--jobs 2` break even with one process at 1,000-1,250
+# instances and win from 1,250, so the smallest range that forks, 1,000
 # instances, runs at about break-even.
-_WORKER_MIN = 400
+_WORKER_MIN = 500
+
+_verdict = itemgetter(0)
 
 
 def _verify_one(family, k):
-    """One (FamilyId, k) verification, rendered."""
+    """One (FamilyId, k) verification, rendered.  The checks are those of
+    `verify`, run by its own runner; the report is built only to render a
+    failure, and inside the try, so a malformed outcome is one FAIL line."""
     try:
         inst = instantiate(family, k)
-        report = verify(inst)
+        label = _label(inst)
+        outcomes = _run_checks(inst)
+        if all(map(_verdict, outcomes)):
+            return True, f"ok {label}: {inst.space}"
+        report = _report_of(label, outcomes)
+        bad = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
     except Exception as exc:
         return False, f"FAIL {family.value} k={k}: {_exception_detail(exc)}"
-    if report.ok:
-        return True, f"ok {report.label}: {inst.space}"
-    bad = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
-    return False, f"FAIL {report.label}: {bad}"
+    return False, f"FAIL {label}: {bad}"
 
 
 def _verify_span(fam, a, b):

@@ -259,33 +259,42 @@ def _exception_detail(exc):
     return f"exception: {exc!r} in {frame.name} ({where})"
 
 
-def _check(name, fn, inst):
-    """fn(inst) is (verdict, detail template, *values); a check that raises
-    fails, with the exception as its detail."""
-    try:
-        result = fn(inst)
-    except Exception as exc:
-        return _result(name, False, ("{}", _exception_detail(exc)))
-    return _result(name, bool(result[0]), result[1:])
+# the checks in report order; each runs as the function _check_<name>
+_CHECK_NAMES = ("homology", "core_order", "fibration", "grid", "linking_form",
+               "torus_type")
+
+
+def _run_checks(inst):
+    """Each check's (verdict, detail template, *values), in _CHECK_NAMES
+    order.  A check is looked up at call time, so a replaced one takes
+    effect; a check that raises fails, with the exception as its detail."""
+    checks = globals()
+    outcomes = []
+    for name in _CHECK_NAMES:
+        try:
+            outcomes.append(checks["_check_" + name](inst))
+        except Exception as exc:
+            outcomes.append((False, "{}", _exception_detail(exc)))
+    return outcomes
+
+
+def _report_of(label, outcomes):
+    """The report of what _run_checks returned."""
+    return _report(label, tuple(_result(name, bool(outcome[0]), outcome[1:])
+                                for name, outcome in zip(_CHECK_NAMES, outcomes)))
 
 
 def verify(inst: FamilyInstance) -> VerificationReport:
     """Recompute every attribute of an instance by an independent route.
 
-    Only the label is rendered here, so a parameter past Python's int-to-str
-    digit limit raises Python's ValueError; a detail is rendered when read.
+    Only the label is rendered here, and before any check runs, so a
+    parameter past Python's int-to-str digit limit raises Python's
+    ValueError; a detail is rendered when read.  `verify` of the CLI runs
+    the same checks through `_run_checks` and builds this report only for
+    an instance that fails.
     """
     label = _label(inst)
-    # each check is looked up at call time, so a replaced one takes effect
-    checks = (
-        _check("homology", _check_homology, inst),
-        _check("core_order", _check_core_order, inst),
-        _check("fibration", _check_fibration, inst),
-        _check("grid", _check_grid, inst),
-        _check("linking_form", _check_linking_form, inst),
-        _check("torus_type", _check_torus_type, inst),
-    )
-    return _report(label, checks)
+    return _report_of(label, _run_checks(inst))
 
 
 def _label(inst):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lensknots import cli, families
+from lensknots import cli, families, surgery
 from lensknots.cli import run
 from lensknots.families import FamilyInstance, instantiate
 from lensknots.lenspaces import LensSpace
@@ -258,23 +258,23 @@ def _line_of(fn, offset=1):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_one_failure(monkeypatch, capsys, fake_pool, jobs):
-    real = cli.verify
+    real = cli._run_checks
 
-    def verify_or_divide(inst):
+    def run_or_divide(inst):
         if inst.k == 2:
             return 1 // 0
         return real(inst)
 
-    monkeypatch.setattr(cli, "verify", verify_or_divide)
+    monkeypatch.setattr(cli, "_run_checks", run_or_divide)
     assert run(["verify", "--families", "I,II", "--k-range", "1..3",
                 "--jobs", jobs]) == 1
     out, _ = out_of(capsys)
     fails = [line for line in out.splitlines() if not line.startswith("ok ")]
     assert fails == [
         "FAIL I k=2: exception: ZeroDivisionError('integer division or modulo"
-        f" by zero') in verify_or_divide ({_line_of(verify_or_divide, 2)})",
+        f" by zero') in run_or_divide ({_line_of(run_or_divide, 2)})",
         "FAIL II k=2: exception: ZeroDivisionError('integer division or modulo"
-        f" by zero') in verify_or_divide ({_line_of(verify_or_divide, 2)})",
+        f" by zero') in run_or_divide ({_line_of(run_or_divide, 2)})",
         "checked 6 instances: 2 failed",
     ]
     assert fake_pool.sizes == ([2] if jobs == "2" else [])
@@ -298,6 +298,85 @@ def test_verify_check_exception_detail(monkeypatch, capsys, fake_pool, jobs):
         "FAIL III k=-1: grid: exception: KeyError('grid') in broken_grid"
         f" ({_line_of(broken_grid, 2)})")
     assert out.endswith("checked 3 instances: 1 failed\n")
+
+
+def verify_lines(fams, ks):
+    """What `verify` of the CLI prints for these instances, written from
+    the reports of families.verify."""
+    lines = []
+    for fam in fams:
+        for k in ks:
+            inst = instantiate(fam, k)
+            report = families.verify(inst)
+            bad = [f"{c.name}: {c.detail}" for c in report.checks if not c.passed]
+            lines.append(f"FAIL {report.label}: {'; '.join(bad)}" if bad
+                         else f"ok {report.label}: {inst.space}")
+    return lines
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("how", ["false", "raise"])
+@pytest.mark.parametrize("name", families._CHECK_NAMES)
+def test_verify_fail_line_is_the_report(monkeypatch, capsys, fake_pool, name,
+                                        how, jobs):
+    """A check that fails at one k, by its verdict or by raising, gives the
+    FAIL line that the instance's own report renders: the CLI builds that
+    report, and only for a failing instance."""
+    real = getattr(families, f"_check_{name}")
+
+    def fails_at_2(inst):
+        verdict, *rest = real(inst)
+        if inst.k == 2:
+            if how == "raise":
+                raise RuntimeError(name)
+            verdict = False
+        return (verdict, *rest)
+
+    monkeypatch.setattr(families, f"_check_{name}", fails_at_2)
+    assert run(["verify", "--families", "I,IV", "--k-range", "1..3",
+                "--jobs", jobs]) == 1
+    out, err = out_of(capsys)
+    want = verify_lines(("I", "IV"), (1, 2, 3))
+    assert [line.startswith("FAIL ") for line in want] == [False, True, False] * 2
+    assert out.splitlines() == want + ["checked 6 instances: 2 failed"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("value", [0, 1, None])
+@pytest.mark.parametrize("shape", ["verdict", "bare"])
+def test_verify_judges_odd_outcomes_as_the_report(monkeypatch, capsys, fake_pool,
+                                                  shape, value, jobs):
+    """A check whose verdict is 0, 1 or None is judged by its truth, as
+    report.ok judges it.  A check that returns one of them bare, with no
+    detail, makes verify raise; the CLI prints that instance as one FAIL
+    line naming the same exception, and no traceback."""
+    real = families._check_grid
+
+    def odd_at_2(inst):
+        if inst.k != 2:
+            return real(inst)
+        return value if shape == "bare" else (value, "grid read {}", value)
+
+    monkeypatch.setattr(families, "_check_grid", odd_at_2)
+    code = run(["verify", "--families", "I", "--k-range", "1..3", "--jobs", jobs])
+    out, err = out_of(capsys)
+    assert err == ""
+    lines = out.splitlines()
+    if shape == "bare":
+        with pytest.raises(TypeError) as raised:
+            families.verify(instantiate("I", 2))
+        assert code == 1
+        assert lines.pop(1).startswith(f"FAIL I k=2: exception: {raised.value!r} in ")
+        assert lines == verify_lines(("I",), (1, 3)) + ["checked 3 instances: 1 failed"]
+    else:
+        ok = families.verify(instantiate("I", 2)).ok
+        assert ok is bool(value)
+        assert code == (0 if ok else 1)
+        assert lines == verify_lines(("I",), (1, 2, 3)) + [
+            f"checked 3 instances: {'all ok' if ok else '1 failed'}"]
+        assert lines[1] == ("ok I k=2: L(11,3)" if ok else
+                            f"FAIL I k=2: grid: grid read {value}")
 
 
 def test_passing_verify_renders_no_detail(monkeypatch, capsys):
@@ -429,6 +508,27 @@ def test_homology_singular_three_components(tmp_path, capsys):
                    "core order of component 0: infinite\n"
                    "core order of component 1: infinite\n"
                    "core order of component 2: 3\n")
+
+
+def test_homology_reduces_h1_once(monkeypatch, tmp_path, capsys):
+    """A closed three-component link runs n + 1 = 4 Smith forms: H1's,
+    which `h1` and `core_orders` share through the memo of the last closed
+    link, and one core quotient per component.  The printed lines are
+    those of the earlier five-form route."""
+    calls = []
+    snf = surgery.smith_normal_form
+    monkeypatch.setattr(surgery, "smith_normal_form",
+                        lambda rows: calls.append(len(rows)) or snf(rows))
+    path = tmp_path / "three.json"
+    path.write_text(link_to_json(FramedLink.make(
+        [[0, 2, 0], [2, 0, 3], [0, 3, 0]], ["4", "2", "-6"])))
+    assert run(["homology", "--link", str(path)]) == 0
+    out, _ = out_of(capsys)
+    assert out == ("H1 = Z/60\n"
+                   "core order of component 0: 20\n"
+                   "core order of component 1: 5\n"
+                   "core order of component 2: 30\n")
+    assert calls == [3, 3, 3, 3]
 
 
 def test_homology_malformed_slope(tmp_path, capsys):

@@ -105,12 +105,13 @@ def test_verify_passes_across_the_atlas():
 KNOTTED = ("I", "II", "III", "IV", "V")
 
 
-def test_verify_runs_three_smith_forms():
-    """One for the homology check and two for the core order: `core_order`
-    now reads |H1| off the same 2x2 Smith form as the homology check, and
-    the order of the core quotient off another; the fibration check runs
-    none.  verify keeps no state, so a fresh process makes the same calls
-    on its first pass over 200 instances as on its second."""
+def test_verify_runs_two_smith_forms():
+    """One for the homology check and one for the core order: `h1` and
+    `core_order` share the 2x2 Smith form of H1 through the one-link memo
+    of `surgery._closed_h1`, and `core_order` adds the core quotient's; the
+    fibration check runs none.  The memo keeps only the last link, so a
+    fresh process makes the same calls on its first pass over 200
+    instances as on its second."""
     code = """if True:
         from lensknots import surgery
         from lensknots.families import instantiate, verify
@@ -132,7 +133,7 @@ def test_verify_runs_three_smith_forms():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "200 600 {3}\n" * 2
+    assert proc.stdout == "200 400 {2}\n" * 2
 
 
 # --- the Alexander polynomial of the fibration check ---------------------------
@@ -277,7 +278,7 @@ def test_member_past_digit_limit_raises_one_named_error(monkeypatch):
         for inst in (huge, big):
             with pytest.raises(ValueError, match=named):
                 inst.to_dict()
-        monkeypatch.setattr(families, "_check", lambda name, fn, inst: checked.append(name))
+        monkeypatch.setattr(families, "_run_checks", checked.append)
         with pytest.raises(ValueError, match=named):
             verify(huge)
     finally:

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,8 @@ from lensknots.surgery import (INFINITE, UNFILLED, AbelianGroup, FramedLink,
                                blow_down, chain3, core_order, core_orders, h1,
                                h1_presentation, link_from_json, link_to_json,
                                unknot, whitehead)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_builtins():
@@ -268,6 +274,100 @@ def test_core_orders_match_core_order(link, data):
         with pytest.raises(ValueError) as one:
             core_order(half, i)
         assert str(one.value) == str(many.value)
+
+
+# --- the one-link memo of _closed_h1 -----------------------------------------
+#
+# `h1`, `core_order` and `core_orders` share the rows and Smith diagonal of
+# the last closed link they reduced.  The expected values below come from
+# `from_presentation` and the Bezout reference, which never read the memo.
+
+
+def fresh(link):
+    """H1 and the core orders of a closed link, computed without the memo."""
+    n = link.num_components
+    orders = []
+    for i, s in enumerate(link.coefficients):
+        d, c = solve_bezout(s.p, s.q)
+        orders.append(reference_core_order(link, i, (c, d)))
+    return AbelianGroup.from_presentation(h1_presentation(link), n), orders
+
+
+@settings(max_examples=100)
+@given(closed_links(), st.one_of(closed_links(), singular_links()))
+def test_memo_alternating_links_match_fresh(a, b):
+    """Every call agrees with a fresh computation, whichever link the memo
+    held before it, and an equal but distinct link gets its own entry."""
+    twin = FramedLink.make(a.linking, a.coefficients)
+    assert twin == a and twin is not a
+    want = {id(a): fresh(a), id(b): fresh(b)}
+    want[id(twin)] = want[id(a)]
+    for link in (a, b, twin, a, twin, b, b, a):
+        group, orders = want[id(link)]
+        assert core_orders(link) == orders
+        assert h1(link) == group
+        assert [core_order(link, i) for i in range(len(orders))] == orders
+        assert h1(link) == group
+        assert surgery._last_h1[0] is link  # held, by identity
+    for link in (a, b, twin):  # h1 first, then core_order, as verify asks
+        group, orders = want[id(link)]
+        assert h1(link) == group
+        assert core_order(link, len(orders) - 1) == orders[-1]
+
+
+@settings(max_examples=100)
+@given(closed_links(), st.data())
+def test_memo_unfilled_link_is_not_kept(link, data):
+    """A link with an unfilled component gets h1 off its own rows, and
+    core_order refuses it with the same ValueError as ever; the memo keeps
+    the closed link it held."""
+    n = link.num_components
+    gone = data.draw(st.integers(0, n - 1))
+    half = FramedLink.make(link.linking, [None if j == gone else c
+                                          for j, c in enumerate(link.coefficients)])
+    group, orders = fresh(link)
+    assert h1(link) == group
+    assert h1(half) == AbelianGroup.from_presentation(h1_presentation(half), n)
+    for i in range(n):
+        with pytest.raises(ValueError, match="^core_order needs a closed "
+                           "manifold: fill every component$"):
+            core_order(half, i)
+    with pytest.raises(ValueError, match="fill every component"):
+        core_orders(half)
+    assert surgery._last_h1[0] is link
+    assert core_orders(link) == orders and h1(link) == group
+
+
+def test_memo_rows_cannot_be_changed_by_a_caller():
+    """The shared rows and diagonal are tuples, and what the public
+    functions return is built anew, so no caller can change the memo."""
+    link = chain3("2", "3", "-5/2")
+    group, orders = fresh(link)
+    rows, diag = surgery._closed_h1(link)
+    assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+    assert type(diag) is tuple
+    with pytest.raises(TypeError):
+        rows[0][0] = 7
+    with pytest.raises(TypeError):
+        rows[0] += (1,)
+    h1_presentation(link)[0][0] = 7
+    got = core_orders(link)
+    got[0] = 7
+    assert surgery._closed_h1(link) == (rows, diag)
+    assert core_orders(link) == orders and h1(link) == group
+
+
+def test_memo_under_python_O():
+    """The memo tests pass with asserts stripped from the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         __file__, "-k", "memo and not python_O"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("3 passed"), proc.stdout
 
 
 def test_blow_down_chain_to_whitehead():
