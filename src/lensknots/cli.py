@@ -21,10 +21,8 @@ import json
 import os
 import sys
 from collections import deque
-from operator import itemgetter
 
-from .families import (FamilyId, _exception_detail, _label, _report_of, _run_checks,
-                       family_space, instantiate)
+from .families import FamilyId, _verify_line, family_space, instantiate
 from .fatgraph import iter_configs
 from .gridknots import find_torus_grid_witness
 from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant, trace
@@ -102,32 +100,12 @@ _SPAN_CAP = 256
 # instances, runs at about break-even.
 _WORKER_MIN = 500
 
-_verdict = itemgetter(0)
-
-
-def _verify_one(family, k):
-    """One (FamilyId, k) verification, rendered.  The checks are those of
-    `verify`, run by its own runner; the report is built only to render a
-    failure, and inside the try, so a malformed outcome is one FAIL line."""
-    try:
-        inst = instantiate(family, k)
-        label = _label(inst)
-        outcomes = _run_checks(inst)
-        if all(map(_verdict, outcomes)):
-            return True, f"ok {label}: {inst.space}"
-        report = _report_of(label, outcomes)
-        bad = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
-    except Exception as exc:
-        return False, f"FAIL {family.value} k={k}: {_exception_detail(exc)}"
-    return False, f"FAIL {label}: {bad}"
-
-
 def _verify_span(fam, a, b):
     """The rendered verifications of one family for k in a..b, skipping 0;
     top level so workers can run it.  The family is resolved once here,
     not once per instance."""
     family = FamilyId(fam)
-    return [_verify_one(family, k) for k in range(a, b + 1) if k != 0]
+    return [_verify_line(family, k) for k in range(a, b + 1) if k != 0]
 
 
 def _usable_cpus():

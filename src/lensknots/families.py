@@ -31,7 +31,7 @@ import enum
 import os
 from dataclasses import dataclass, replace
 from math import gcd, lcm
-from operator import attrgetter
+from operator import itemgetter
 
 from .gridknots import grid1_order, torus_grid_slope
 from .lenspaces import LensSpace, Slope, _slope, _trusted_builder, normalize, q_orbit
@@ -208,21 +208,11 @@ def instantiate(family, k=None, rq=None) -> FamilyInstance:
 
 @dataclass(frozen=True, slots=True)
 class CheckResult:
-    """A check's verdict, and the values its detail is written from: the
-    detail is formatted only when it is read, and two results of the same
-    check compare by those values."""
+    """A check's name, its verdict, and the detail text of what it compared."""
 
     name: str
     passed: bool
-    _detail: tuple  # a str.format template, then the values it takes
-
-    @property
-    def detail(self):
-        template, *values = self._detail
-        try:
-            return template.format(*values)
-        except Exception as exc:  # say a number past the digit limit
-            return _exception_detail(exc)
+    detail: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,7 +222,7 @@ class VerificationReport:
 
     @property
     def ok(self):
-        return all(map(_passed, self.checks))
+        return all(c.passed for c in self.checks)
 
     def to_dict(self):
         return {
@@ -242,11 +232,6 @@ class VerificationReport:
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                        for c in self.checks],
         }
-
-
-_result = _trusted_builder(CheckResult)
-_report = _trusted_builder(VerificationReport)
-_passed = attrgetter("passed")
 
 
 def _exception_detail(exc):
@@ -278,23 +263,55 @@ def _run_checks(inst):
     return outcomes
 
 
+def _detail(outcome):
+    """The detail text of a check's (verdict, template, *values).  A value
+    that cannot be rendered, say a number past the digit limit, or an
+    outcome with no template reads as that exception."""
+    try:
+        return outcome[1].format(*outcome[2:])
+    except Exception as exc:
+        return _exception_detail(exc)
+
+
 def _report_of(label, outcomes):
     """The report of what _run_checks returned."""
-    return _report(label, tuple(_result(name, bool(outcome[0]), outcome[1:])
-                                for name, outcome in zip(_CHECK_NAMES, outcomes)))
+    return VerificationReport(label, tuple(
+        CheckResult(name, bool(outcome[0]), _detail(outcome))
+        for name, outcome in zip(_CHECK_NAMES, outcomes)))
 
 
 def verify(inst: FamilyInstance) -> VerificationReport:
     """Recompute every attribute of an instance by an independent route.
 
-    Only the label is rendered here, and before any check runs, so a
-    parameter past Python's int-to-str digit limit raises Python's
-    ValueError; a detail is rendered when read.  `verify` of the CLI runs
-    the same checks through `_run_checks` and builds this report only for
-    an instance that fails.
+    The label is rendered before any check runs, so a parameter past
+    Python's int-to-str digit limit raises Python's ValueError; a detail
+    that cannot be rendered reads as its exception.  `verify` of the CLI
+    runs the same checks through `_verify_line`, which builds this report
+    only for an instance that fails.
     """
     label = _label(inst)
     return _report_of(label, _run_checks(inst))
+
+
+_verdict = itemgetter(0)
+
+
+def _verify_line(family, k):
+    """Whether the member of a family at k passes, and its rendered line:
+    the ok line, or a FAIL line with the detail of each failing check.  A
+    passing member formats no detail; the report is built inside the try,
+    so a malformed outcome is one FAIL line."""
+    try:
+        inst = instantiate(family, k)
+        label = _label(inst)
+        outcomes = _run_checks(inst)
+        if all(map(_verdict, outcomes)):
+            return True, f"ok {label}: {inst.space}"
+        report = _report_of(label, outcomes)
+        bad = "; ".join(f"{c.name}: {c.detail}" for c in report.checks if not c.passed)
+    except Exception as exc:
+        return False, f"FAIL {family.value} k={k}: {_exception_detail(exc)}"
+    return False, f"FAIL {label}: {bad}"
 
 
 def _label(inst):

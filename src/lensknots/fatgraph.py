@@ -195,7 +195,6 @@ class ScharlemannCycle:
 _config = _trusted_builder(ArcSystemConfig)
 _circle = _trusted_builder(Circle)
 _region = _trusted_builder(Region)
-_report = _trusted_builder(FaceReport)
 _cycle = _trusted_builder(ScharlemannCycle)
 _color = attrgetter("color")
 _NULL = (0, 0)  # the homology class of a bigon
@@ -309,7 +308,7 @@ def faces(cfg: ArcSystemConfig) -> FaceReport:
         color = colors.pop() if len(colors) == 1 else None
         annuli = (_region("annulus", (a, b), color),)
     regions = (*map(_region, repeat("disk"), zip(disks), map(_color, disks)), *annuli)
-    return _report(cfg, tuple(circles), regions)
+    return FaceReport(cfg, tuple(circles), regions)
 
 
 def _label_pair(t, v):

@@ -13,33 +13,38 @@ Construction rule, for every value class of the package: direct
 construction (`LensSpace(p, q)`, `Slope(p, q)`, `AbelianGroup(...)`,
 `FramedLink(...)`, `MappingWord(...)`, `ArcSystemConfig(...)`),
 `FramedLink.make` and every parser validate their input and raise
-`ValueError`.  The producers whose own code makes their result valid build
-it with a builder of `_trusted_builder`, made once per class at import,
-which skips the generated `__init__` and the `__post_init__` check.  They
-are exactly these:
+`ValueError`.  The producers whose own code makes their result valid, and
+that run once per atlas member or per enumerated element, build it with a
+builder of `_trusted_builder`, made once per class at import, which skips
+the generated `__init__` and the `__post_init__` check.  They are exactly
+these, each bullet naming its producers before its colon:
 
-- `normalize` and `Slope.make`, after the input rule each shares with
-  direct construction (`_check_lens` for `LensSpace`, `_check_slope` for
-  `Slope`): the gcd reduction and the orbit minimum make the fields
-  valid, and `Slope.make(p, 0)` returns `INFINITY`;
-- `surgery.AbelianGroup.from_presentation`, after its row-length check,
-  and `surgery.h1`, over the rows `h1_presentation` builds from a
-  checked link: a Smith diagonal is a divisibility chain;
-- `surgery.unknot` and `whitehead` (a constant matrix), whose
-  coefficients go through `_coerce_slope`;
+- `lenspaces.normalize` and `lenspaces.Slope.make`: after the input rule
+  each shares with direct construction (`_check_lens` for `LensSpace`,
+  `_check_slope` for `Slope`), the gcd reduction and the orbit minimum
+  make the fields valid, and `Slope.make(p, 0)` returns `INFINITY`;
+- `surgery.AbelianGroup.from_presentation` and `surgery.h1`: after the
+  former's row-length check, and over the rows `h1_presentation` builds
+  from a checked link, a Smith diagonal is a divisibility chain;
+- `surgery.unknot` and `surgery.whitehead`: a constant matrix, and
+  coefficients that go through `_coerce_slope`;
 - `families.instantiate`: the slopes `alpha/1` and `(beta*k + 1)/k`,
   in lowest terms for every nonzero int k once the sign is fixed for
   k < 0; the monodromy `x^n y`; and the `FamilyInstance`, whose fields
-  are closed forms or values built above;
-- `families.verify`: each `CheckResult` and the `VerificationReport`.
-  These two classes and `FamilyInstance` have no `__post_init__`, so
-  their builders skip only the frozen `__init__`'s `object.__setattr__`
+  are closed forms or values built above.  It has no `__post_init__`, so
+  its builder skips only the frozen `__init__`'s `object.__setattr__`
   per field;
-- `fatgraph.enumerate_configs` (and `iter_configs`), `faces` and
-  `scharlemann_cycles`: the enumeration's loop bounds, which step the
-  counts in the parity rule's class, make every configuration valid, and
-  circles, regions, reports and cycles are closed forms of a valid
-  configuration.
+- `fatgraph.iter_configs`: the enumeration's loop bounds, which step the
+  counts in the parity rule's class, make every configuration valid
+  (`enumerate_configs` lists what it yields);
+- `fatgraph.faces` and `fatgraph.scharlemann_cycles`: circles, regions
+  and cycles are closed forms of a valid configuration.
+
+The rest are built by their constructors: `faces`' one `FaceReport` per
+call, and the `CheckResult`s and `VerificationReport` of `families.verify`.
+`tests/test_trusted.py` finds the producers that call a builder, directly
+or through a private helper of their module, and checks them against
+this list.
 
 Every value class is a frozen dataclass with slots, so
 `dataclasses.replace(v)` rebuilds a value through the full check;

@@ -173,14 +173,14 @@ def h1_presentation(link: FramedLink):
 
 
 def h1(link: FramedLink) -> AbelianGroup:
-    # the rows are built here, one per filled component and one entry per
-    # component each, so the Smith diagonal is read with no row check; a
-    # closed link's diagonal comes from _closed_h1, which core_order shares
-    if None in link.coefficients:
-        diag = smith_normal_form(h1_presentation(link))
-    else:
-        diag = _closed_h1(link)[1]
-    return _cokernel(diag, len(link.linking))
+    """First homology of the filled manifold, unfilled components free.
+
+    The rows are built here, one per filled component and one entry per
+    component each, so the Smith diagonal is read with no row check.  It
+    comes from the one-link memo of `_reduced_h1`, which `core_order` and
+    `core_orders` share.
+    """
+    return _cokernel(_reduced_h1(link)[1], len(link.linking))
 
 
 def core_order(link: FramedLink, i: int):
@@ -198,38 +198,35 @@ def core_order(link: FramedLink, i: int):
     nothing (for a finite H1 it is |det| of the square presentation).
     """
     _check_component(link, i)
-    return _core_order(link, i, *_closed_h1(link))
+    return _core_order(link, i, *_reduced_h1(link))
 
 
 def core_orders(link: FramedLink):
     """The core order of every component, as `core_order` gives it, with
     the Smith diagonal of H1 taken once for all of them, and not again
-    after `h1` of the same link (see `_closed_h1`)."""
-    rows, diag = _closed_h1(link)
-    return [_core_order(link, i, rows, diag) for i in range(len(rows))]
+    after `h1` of the same link (see `_reduced_h1`)."""
+    rows, diag = _reduced_h1(link)
+    return [_core_order(link, i, rows, diag) for i in range(len(link.linking))]
 
 
-# the last closed link _closed_h1 reduced, with its rows and diagonal
+# the last link _reduced_h1 reduced, with its rows and diagonal
 _last_h1 = (None, (), ())
 
 
-def _closed_h1(link):
-    """The relation rows of a closed manifold's H1 and their Smith diagonal,
-    as tuples, so no caller can change them.
+def _reduced_h1(link):
+    """The relation rows of H1 and their Smith diagonal, as tuples, so no
+    caller can change them.
 
     The last link reduced is kept, so `h1` then `core_order` of one link,
     as `verify` and `homology` ask, reduce it once.  It is found by
     identity and held by a strong reference, so its id is never reused
-    while it is kept; an unfilled link raises before the memo is touched.
-    The memo is read and replaced whole, so threads sharing it can at
-    worst reduce a link again.
+    while it is kept.  The memo is read and replaced whole, so threads
+    sharing it can at worst reduce a link again.
     """
     global _last_h1
     last, rows, diag = _last_h1
     if link is last:
         return rows, diag
-    if None in link.coefficients:
-        raise ValueError("core_order needs a closed manifold: fill every component")
     rows = tuple(map(tuple, h1_presentation(link)))
     diag = tuple(smith_normal_form(rows))
     _last_h1 = link, rows, diag
@@ -238,6 +235,8 @@ def _closed_h1(link):
 
 def _core_order(link, i, rows, diag):
     """The core order of component i, from H1's rows and Smith diagonal."""
+    if None in link.coefficients:
+        raise ValueError("core_order needs a closed manifold: fill every component")
     others = rows[:i] + rows[i + 1:] + (link.linking[i],)
     diag2 = smith_normal_form([r[:i] + r[i + 1:] for r in others])
     # on n generators H1 has rank n - len(diag) and the quotient, on n - 1,

@@ -258,14 +258,14 @@ def _line_of(fn, offset=1):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_one_failure(monkeypatch, capsys, fake_pool, jobs):
-    real = cli._run_checks
+    real = families._run_checks
 
     def run_or_divide(inst):
         if inst.k == 2:
             return 1 // 0
         return real(inst)
 
-    monkeypatch.setattr(cli, "_run_checks", run_or_divide)
+    monkeypatch.setattr(families, "_run_checks", run_or_divide)
     assert run(["verify", "--families", "I,II", "--k-range", "1..3",
                 "--jobs", jobs]) == 1
     out, _ = out_of(capsys)

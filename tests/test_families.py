@@ -108,7 +108,7 @@ KNOTTED = ("I", "II", "III", "IV", "V")
 def test_verify_runs_two_smith_forms():
     """One for the homology check and one for the core order: `h1` and
     `core_order` share the 2x2 Smith form of H1 through the one-link memo
-    of `surgery._closed_h1`, and `core_order` adds the core quotient's; the
+    of `surgery._reduced_h1`, and `core_order` adds the core quotient's; the
     fibration check runs none.  The memo keeps only the last link, so a
     fresh process makes the same calls on its first pass over 200
     instances as on its second."""
@@ -284,7 +284,8 @@ def test_member_past_digit_limit_raises_one_named_error(monkeypatch):
     finally:
         sys.set_int_max_str_digits(limit)
     assert checked == []
-    assert report == want and report.ok
+    assert report.label == want.label and report.ok
+    assert [c.passed for c in report.checks] == [c.passed for c in want.checks]
     long = {"homology", "core_order", "grid", "linking_form"}
     for check, detail, full in zip(report.checks, details, rendered):
         if check.name in long:
@@ -295,9 +296,9 @@ def test_member_past_digit_limit_raises_one_named_error(monkeypatch):
 
 
 def test_unrenderable_detail_reads_as_its_error():
-    """A detail is formatted when read, so a number past the digit limit in
-    a hand-made instance leaves the verdicts as computed and reads as the
-    ValueError; neither reading raises."""
+    """A number past the digit limit in a hand-made instance leaves the
+    verdicts as computed, and its detail reads as the ValueError: neither
+    verify nor to_dict raises."""
     inst = dataclasses.replace(instantiate("I", 3), grid_index=10**5000)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
@@ -479,7 +480,7 @@ def test_verify_catches_every_closed_form_mutant(monkeypatch, fams, field, value
         for k in [k for k in range(-20, 21) if k]:
             try:
                 inst = instantiate(fam, k)
-            except ValueError:  # cli._verify_one prints FAIL for it
+            except ValueError:  # families._verify_line prints FAIL for it
                 caught.add("instantiate")
                 continue
             built = True

@@ -276,10 +276,10 @@ def test_core_orders_match_core_order(link, data):
         assert str(one.value) == str(many.value)
 
 
-# --- the one-link memo of _closed_h1 -----------------------------------------
+# --- the one-link memo of _reduced_h1 ----------------------------------------
 #
 # `h1`, `core_order` and `core_orders` share the rows and Smith diagonal of
-# the last closed link they reduced.  The expected values below come from
+# the last link they reduced.  The expected values below come from
 # `from_presentation` and the Bezout reference, which never read the memo.
 
 
@@ -319,8 +319,8 @@ def test_memo_alternating_links_match_fresh(a, b):
 @given(closed_links(), st.data())
 def test_memo_unfilled_link_is_not_kept(link, data):
     """A link with an unfilled component gets h1 off its own rows, and
-    core_order refuses it with the same ValueError as ever; the memo keeps
-    the closed link it held."""
+    core_order refuses it with the same ValueError as ever; after it, the
+    closed link still reads its own h1 and core orders."""
     n = link.num_components
     gone = data.draw(st.integers(0, n - 1))
     half = FramedLink.make(link.linking, [None if j == gone else c
@@ -334,7 +334,6 @@ def test_memo_unfilled_link_is_not_kept(link, data):
             core_order(half, i)
     with pytest.raises(ValueError, match="fill every component"):
         core_orders(half)
-    assert surgery._last_h1[0] is link
     assert core_orders(link) == orders and h1(link) == group
 
 
@@ -343,7 +342,7 @@ def test_memo_rows_cannot_be_changed_by_a_caller():
     functions return is built anew, so no caller can change the memo."""
     link = chain3("2", "3", "-5/2")
     group, orders = fresh(link)
-    rows, diag = surgery._closed_h1(link)
+    rows, diag = surgery._reduced_h1(link)
     assert type(rows) is tuple and all(type(r) is tuple for r in rows)
     assert type(diag) is tuple
     with pytest.raises(TypeError):
@@ -353,7 +352,7 @@ def test_memo_rows_cannot_be_changed_by_a_caller():
     h1_presentation(link)[0][0] = 7
     got = core_orders(link)
     got[0] = 7
-    assert surgery._closed_h1(link) == (rows, diag)
+    assert surgery._reduced_h1(link) == (rows, diag)
     assert core_orders(link) == orders and h1(link) == group
 
 

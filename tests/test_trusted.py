@@ -2,11 +2,13 @@
 
 The producers that build their results with a `lenspaces._trusted_builder`
 builder, skipping the generated `__init__` and the dataclass check, are
-listed once, in the `lenspaces` docstring.  `dataclasses.replace(v)`
+listed once, in the `lenspaces` docstring, and found here in the syntax
+tree to check that list.  `dataclasses.replace(v)`
 re-runs `__init__` and `__post_init__`, so it raises on an invalid value
 and equals a valid one.
 """
 
+import ast
 import collections
 import copy
 import dataclasses
@@ -14,14 +16,16 @@ import importlib
 import pickle
 import pkgutil
 import random
+import re
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lensknots
-from lensknots import cli, fatgraph
+from lensknots import cli, fatgraph, lenspaces
 from lensknots.families import (CheckResult, FamilyInstance, VerificationReport,
                                  instantiate, verify)
 from lensknots.fatgraph import (ArcSystemConfig, enumerate_configs, faces,
@@ -32,7 +36,8 @@ from lensknots.surgery import (AbelianGroup, FramedLink, chain3, h1, h1_presenta
                                unknot, whitehead)
 
 CHECKED = (Slope, LensSpace, FramedLink, AbelianGroup, MappingWord)
-# value classes with no check, which instantiate and verify build trusted
+# value classes with no check: instantiate builds its FamilyInstance
+# trusted, and verify builds its reports by their constructors
 UNCHECKED = (FamilyInstance, CheckResult, VerificationReport)
 
 
@@ -172,7 +177,7 @@ def test_warm_verify_runs_no_post_init(monkeypatch, capsys):
     assert cli.run(argv) == 0
     assert post_inits == [] and inits == []
     assert capsys.readouterr().out.endswith("checked 200 instances: all ok\n")
-    CheckResult("grid", True, ("",))  # the count sees a direct construction
+    CheckResult("grid", True, "")  # the count sees a direct construction
     assert inits == ["CheckResult"]
 
 
@@ -302,3 +307,68 @@ def test_enumerate_configs_builds_only_what_it_returns(monkeypatch):
                 configs = enumerate_configs(t, m, require_max)
                 assert (built["trusted"], built["checked"]) == (len(configs), 0), \
                     (t, m, require_max)
+
+
+def builder_users():
+    """The functions of each module that call a `_trusted_builder` builder,
+    as (public, helpers): "module.name" and "module.Class.name" strings.
+
+    A builder is a name a module binds to `_trusted_builder(...)`, or
+    imports from a module that does.  A function uses one when any `Name`
+    in its body reads it, as a call or an argument to `map`.  A private
+    module-level helper that uses one, directly or through another such
+    helper, counts for every function of its module that reads its name.
+    """
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(lensknots.__file__).parent.glob("*.py")}
+    builders = {}
+    for name, tree in trees.items():
+        builders[name] = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                          and isinstance(node.value, ast.Call)
+                          and getattr(node.value.func, "id", None) == "_trusted_builder"
+                          for target in node.targets}
+    public, helpers = set(), set()
+    for name, tree in trees.items():
+        known = set(builders[name])
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                known |= {a.asname or a.name for a in node.names
+                          if a.name in builders.get(node.module, ())}
+        reads = {}
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for qualname, fn in defs:
+                reads[qualname] = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        private = {q for q in reads if q.startswith("_") and not q.startswith("__")}
+        users = {q for q, names in reads.items() if names & known}
+        while True:
+            more = {q for q, names in reads.items() if names & (users & private)}
+            if more <= users:
+                break
+            users |= more
+        public |= {f"{name}.{q}" for q in users - private}
+        helpers |= {f"{name}.{q}" for q in users & private}
+    return public, helpers
+
+
+def listed_producers():
+    """The producers the `lenspaces` docstring lists, in its one bulleted
+    list: the names in backticks before each bullet's colon."""
+    doc = lenspaces.__doc__
+    start = doc.index("\n- ")
+    bullets = doc[start:doc.index("\n\n", start)].split("\n- ")[1:]
+    return {name for bullet in bullets
+            for name in re.findall(r"`([\w.]+)`", bullet.split(":", 1)[0])}
+
+
+def test_docstring_lists_every_builder_user():
+    public, helpers = builder_users()
+    assert public == listed_producers()
+    assert {"surgery._cokernel", "fatgraph._outer_circle",
+            "fatgraph._disk_cycles"} <= helpers
