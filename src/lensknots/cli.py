@@ -1,12 +1,12 @@
 """Command line front end.
 
 Subcommands:
-  family       render one atlas member from its closed forms
-  verify       recompute a parameter range of the atlas and report
-  homology     first homology of a surgery description in a JSON file
-  mcg          classify a mapping class word and its bundle homology
-  grid         search for a torus knot witness on the r/q grid
-  enum-graphs  enumerate essential arc configurations
+  family       render one atlas member
+  verify       recompute a parameter range
+  homology     H1 of a link file
+  mcg          classify a mapping class word
+  grid         torus knot witness on the r/q grid
+  enum-graphs  enumerate arc configurations
 
 Exit codes: 0 success, 1 verification or search failure, 2 usage errors,
 141 (128 + SIGPIPE, as a shell reports) when the reader closes stdout early.
@@ -229,47 +229,52 @@ def _cmd_enum_graphs(args):
     return 0
 
 
-def _build_parser():
+# Each command's help line, handler and argument specs, in the order of
+# the help: a spec is the option string and the keywords of add_argument.
+_COMMANDS = {
+    "family": ("render one atlas member", _cmd_family, (
+        ("--id", dict(required=True, choices=[f.value for f in FamilyId])),
+        ("--k", dict(type=int)),
+        ("--r", dict(type=int, help="family VI only")),
+        ("--q", dict(type=int, help="family VI only")),
+        ("--json", dict(action="store_true")))),
+    "verify": ("recompute a parameter range", _cmd_verify, (
+        ("--families", dict(default="all",
+                            help='"all" or a comma list like I,III')),
+        ("--k-range", dict(required=True, help="inclusive, like -20..20")),
+        ("--jobs", dict(type=int, default=1)))),
+    "homology": ("H1 of a link file", _cmd_homology, (
+        ("--link", dict(required=True, help="JSON surgery description")),)),
+    "mcg": ("classify a mapping class word", _cmd_mcg, (
+        ("--word", dict(required=True, help='like "x^4 y"; "" = identity')),)),
+    "grid": ("torus knot witness on the r/q grid", _cmd_grid, (
+        ("--r", dict(type=int, required=True)),
+        ("--q", dict(type=int, required=True)),
+        ("--da", dict(type=int, required=True)),
+        ("--db", dict(type=int, required=True)))),
+    "enum-graphs": ("enumerate arc configurations", _cmd_enum_graphs, (
+        ("--t", dict(type=int, required=True)),
+        ("--max-parallel", dict(type=int, required=True)),
+        ("--require-max", dict(action="store_true")))),
+}
+
+
+def _build_parser(argv=None):
+    """The parser for argv.  Every command is registered, so the top-level
+    usage, help and errors do not depend on argv; the arguments and handler
+    go only to the command argv[0] names, or to every command when it names
+    none, as with no argv, [], "-h" or an unknown word."""
     parser = argparse.ArgumentParser(
         prog="lensknots",
         description="once-punctured-torus knots in lens spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("family", help="render one atlas member")
-    p.add_argument("--id", required=True, choices=[f.value for f in FamilyId])
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int, help="family VI only")
-    p.add_argument("--q", type=int, help="family VI only")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("verify", help="recompute a parameter range")
-    p.add_argument("--families", default="all",
-                   help='"all" or a comma list like I,III')
-    p.add_argument("--k-range", required=True, help="inclusive, like -20..20")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("homology", help="H1 of a link file")
-    p.add_argument("--link", required=True, help="JSON surgery description")
-    p.set_defaults(func=_cmd_homology)
-
-    p = sub.add_parser("mcg", help="classify a mapping class word")
-    p.add_argument("--word", required=True, help='like "x^4 y"; "" = identity')
-    p.set_defaults(func=_cmd_mcg)
-
-    p = sub.add_parser("grid", help="torus knot witness on the r/q grid")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--da", type=int, required=True)
-    p.add_argument("--db", type=int, required=True)
-    p.set_defaults(func=_cmd_grid)
-
-    p = sub.add_parser("enum-graphs", help="enumerate arc configurations")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--max-parallel", type=int, required=True)
-    p.add_argument("--require-max", action="store_true")
-    p.set_defaults(func=_cmd_enum_graphs)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_line, func, specs) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if named in (None, name):
+            for option, kwargs in specs:
+                p.add_argument(option, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -296,8 +301,9 @@ _BROKEN_PIPE = 141
 
 
 def run(argv) -> int:
+    argv = _glue_range_values(argv)
     try:
-        args = _build_parser().parse_args(_glue_range_values(argv))
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage, 0 on --help
         return exc.code or 0
     try:

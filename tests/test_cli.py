@@ -1,3 +1,4 @@
+import argparse
 import collections
 import concurrent.futures
 import json
@@ -381,9 +382,10 @@ def test_verify_judges_odd_outcomes_as_the_report(monkeypatch, capsys, fake_pool
 
 def test_passing_verify_renders_no_detail(monkeypatch, capsys):
     """A passing line prints the space and nothing of what the checks
-    compared: the ok line renders the space once, verify renders only its
-    label, and _cmd_verify renders each family's two range ends.  The
-    reports still compare by value."""
+    compared: the ok line renders the space once, the CLI's
+    families._verify_line renders only the label, and _cmd_verify renders
+    each family's two range ends.  families.verify, which builds a report,
+    renders all six details; the reports still compare by value."""
     argv = ["verify", "--families", "all", "--k-range", "-20..20"]
     assert run(argv) == 0  # warm
     calls = collections.Counter()
@@ -900,3 +902,85 @@ def test_bad_subcommand_and_help(capsys):
     assert run(["--help"]) == 0
     out, _ = out_of(capsys)
     assert "family" in out and "enum-graphs" in out
+
+
+# argvs whose exit code, stdout and stderr must not depend on how much of
+# the parser tree run builds: top-level help and errors, each command's
+# help, a missing required option of each command, bad values, abbreviated
+# options, extras, and a valid call of each command
+PARSER_CORPUS = [
+    [], ["-h"], ["--he"], ["bogus"], ["mc"], ["--", "mcg"],
+    *([name, "--help"] for name in
+      ("family", "verify", "homology", "mcg", "grid", "enum-graphs")),
+    ["family"], ["verify"], ["homology"], ["mcg"],
+    ["grid", "--q", "2", "--da", "1", "--db", "1"],
+    ["grid", "--r", "7", "--da", "1", "--db", "1"],
+    ["grid", "--r", "7", "--q", "2", "--db", "1"],
+    ["grid", "--r", "7", "--q", "2", "--da", "1"],
+    ["enum-graphs", "--max-parallel", "3"], ["enum-graphs", "--t", "2"],
+    ["mcg", "--word"],
+    ["verify", "--k-range", "1..2", "--jobs", "x"],
+    ["family", "--id", "VII"],
+    ["verify", "--families", "I", "--k", "-20..20"],
+    ["mcg", "--wo", "x y"],
+    ["mcg", "--word", "x", "extra"],
+    ["mcg", "--word", "x", "--bogus"],
+    ["family", "--id", "I", "--k", "3"],
+    ["homology", "--link", "no-such-file.json"],
+    ["grid", "--r", "7", "--q", "2", "--da", "1", "--db", "1"],
+    ["enum-graphs", "--t", "2", "--max-parallel", "3", "--require-max"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_parser_for_argv_parses_as_the_full_tree(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run(argv), *out_of(capsys)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
+    assert (run(argv), *out_of(capsys)) == got
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_parser_for_argv_gives_arguments_only_to_its_command():
+    """Every command is registered, but only mcg gets arguments beyond -h
+    and a handler; the full tree gives every command both."""
+    lazy = _subparsers(cli._build_parser(["mcg", "--word", "x"]))
+    assert list(lazy) == list(cli._COMMANDS)
+    for name, p in lazy.items():
+        dests = [a.dest for a in p._actions]
+        assert dests == (["help", "word"] if name == "mcg" else ["help"]), name
+        assert p.get_default("func") is (cli._cmd_mcg if name == "mcg" else None)
+    for name, p in _subparsers(cli._build_parser()).items():
+        _, func, specs = cli._COMMANDS[name]
+        assert len(p._actions) == 1 + len(specs) and p.get_default("func") is func
+
+
+def test_docstring_lists_the_commands():
+    """The module docstring's "Subcommands:" list is the table's names and
+    help lines, in order."""
+    block = cli.__doc__.split("Subcommands:\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.split(None, 1) for line in block.splitlines()] == [
+        [name, help_line] for name, (help_line, _, _) in cli._COMMANDS.items()]
+
+
+TOP_USAGE = "usage: lensknots [-h] {family,verify,homology,mcg,grid,enum-graphs} ...\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+     "'family', 'verify', 'homology', 'mcg', 'grid', 'enum-graphs')"),
+    ([], "the following arguments are required: command"),
+    (["mcg", "--word", "x", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_top_level_errors(monkeypatch, capsys, argv, error):
+    """The top-level usage line and errors, which the parser tree of every
+    argv shares, read as they always have."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv) == 2
+    assert out_of(capsys) == ("", f"{TOP_USAGE}lensknots: error: {error}\n")

@@ -317,7 +317,7 @@ def test_memo_alternating_links_match_fresh(a, b):
 
 @settings(max_examples=100)
 @given(closed_links(), st.data())
-def test_memo_unfilled_link_is_not_kept(link, data):
+def test_memo_core_order_refuses_unfilled_link_closed_link_reads_fresh(link, data):
     """A link with an unfilled component gets h1 off its own rows, and
     core_order refuses it with the same ValueError as ever; after it, the
     closed link still reads its own h1 and core orders."""
