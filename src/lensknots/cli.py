@@ -260,21 +260,26 @@ _COMMANDS = {
 
 
 def _build_parser(argv=None):
-    """The parser for argv.  Every command is registered, so the top-level
-    usage, help and errors do not depend on argv; the arguments and handler
-    go only to the command argv[0] names, or to every command when it names
-    none, as with no argv, [], "-h" or an unknown word."""
+    """The parser for argv.  When argv[0] names a command, that command
+    alone gets its help line, arguments and handler; the others are
+    registered by name only, with no -h and no help line, since they never
+    parse and the top-level help is never printed, while the top-level
+    usage and errors read only the names.  When argv[0] names none, as with
+    no argv, [], "-h" or an unknown word, every command gets everything."""
     parser = argparse.ArgumentParser(
         prog="lensknots",
         description="once-punctured-torus knots in lens spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with prog given, argparse formats no usage line to derive it
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     named = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (help_line, func, specs) in _COMMANDS.items():
+        if named not in (None, name):
+            sub.add_parser(name, add_help=False)
+            continue
         p = sub.add_parser(name, help=help_line)
-        if named in (None, name):
-            for option, kwargs in specs:
-                p.add_argument(option, **kwargs)
-            p.set_defaults(func=func)
+        for option, kwargs in specs:
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

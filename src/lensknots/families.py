@@ -247,17 +247,19 @@ def _exception_detail(exc):
 # the checks in report order; each runs as the function _check_<name>
 _CHECK_NAMES = ("homology", "core_order", "fibration", "grid", "linking_form",
                "torus_type")
+_CHECK_FUNCS = tuple("_check_" + name for name in _CHECK_NAMES)
 
 
 def _run_checks(inst):
     """Each check's (verdict, detail template, *values), in _CHECK_NAMES
-    order.  A check is looked up at call time, so a replaced one takes
-    effect; a check that raises fails, with the exception as its detail."""
+    order.  A check is looked up by its function's name at call time, so a
+    replaced one takes effect; a check that raises fails, with the
+    exception as its detail."""
     checks = globals()
     outcomes = []
-    for name in _CHECK_NAMES:
+    for func in _CHECK_FUNCS:
         try:
-            outcomes.append(checks["_check_" + name](inst))
+            outcomes.append(checks[func](inst))
         except Exception as exc:
             outcomes.append((False, "{}", _exception_detail(exc)))
     return outcomes

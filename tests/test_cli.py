@@ -929,36 +929,49 @@ PARSER_CORPUS = [
     ["homology", "--link", "no-such-file.json"],
     ["grid", "--r", "7", "--q", "2", "--da", "1", "--db", "1"],
     ["enum-graphs", "--t", "2", "--max-parallel", "3", "--require-max"],
+    # argv[0] names a command, then help or a second command word follows
+    ["mcg", "--word", "x", "-h"], ["mcg", "--word", "x", "--he"],
+    ["mcg", "-h", "verify"], ["mcg", "verify"], ["verify", "mcg"],
+    ["enum-graphs", "--help", "--t", "2"], ["grid", "mcg", "--r", "7"],
+    ["family", "--id", "I", "--k", "3", "verify"],
 ]
 
 
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
 def test_parser_for_argv_parses_as_the_full_tree(monkeypatch, capsys, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    got = run(argv), *out_of(capsys)
+    """The same exit code, stdout and stderr as the full tree, at a width
+    where the top-level usage line fits and one where it wraps."""
     full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
-    assert (run(argv), *out_of(capsys)) == got
+    for columns in ("80", "30"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = run(argv), *out_of(capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", lambda argv=None: full())
+            assert (run(argv), *out_of(capsys)) == got, columns
 
 
-def _subparsers(parser):
+def _subparsers_action(parser):
     (action,) = [a for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+    return action
 
 
 def test_parser_for_argv_gives_arguments_only_to_its_command():
-    """Every command is registered, but only mcg gets arguments beyond -h
-    and a handler; the full tree gives every command both."""
-    lazy = _subparsers(cli._build_parser(["mcg", "--word", "x"]))
-    assert list(lazy) == list(cli._COMMANDS)
-    for name, p in lazy.items():
+    """Every command is a choice, but only mcg gets -h, its arguments, a
+    handler and a help entry; the others are registered by name only.  The
+    full tree gives every command all of them."""
+    lazy = _subparsers_action(cli._build_parser(["mcg", "--word", "x"]))
+    assert list(lazy.choices) == list(cli._COMMANDS)
+    for name, p in lazy.choices.items():
         dests = [a.dest for a in p._actions]
-        assert dests == (["help", "word"] if name == "mcg" else ["help"]), name
+        assert dests == (["help", "word"] if name == "mcg" else []), name
         assert p.get_default("func") is (cli._cmd_mcg if name == "mcg" else None)
-    for name, p in _subparsers(cli._build_parser()).items():
+    assert [a.dest for a in lazy._choices_actions] == ["mcg"]
+    full = _subparsers_action(cli._build_parser())
+    for name, p in full.choices.items():
         _, func, specs = cli._COMMANDS[name]
         assert len(p._actions) == 1 + len(specs) and p.get_default("func") is func
+    assert [a.dest for a in full._choices_actions] == list(cli._COMMANDS)
 
 
 def test_docstring_lists_the_commands():

@@ -361,9 +361,13 @@ def test_memo_under_python_O():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    tests = [f"{__file__}::{name}" for name in (
+        "test_memo_alternating_links_match_fresh",
+        "test_memo_core_order_refuses_unfilled_link_closed_link_reads_fresh",
+        "test_memo_rows_cannot_be_changed_by_a_caller")]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         __file__, "-k", "memo and not python_O"],
+         *tests],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("3 passed"), proc.stdout
