@@ -511,11 +511,9 @@ def gof_filling(family) -> LensSpace:
     W(-n, .).  Filling the second component trivially (slope infinity)
     erases it - both components of W are unknots - leaving -n surgery on
     the unknot, the lens space L(n,1).  The space is read off the homology
-    of the filled link, which must be cyclic.
+    of the filled link, presented by [[-n, 0], [0, 1]]: Z/|n| for every n.
     """
     n = _form(family, -1).twists[0]
     group = h1(whitehead(Slope.make(-n, 1), Slope.make(1, 0)))
-    if not group.is_cyclic:
-        raise ValueError(f"H1 of W(-{n}, inf) is {group}, not cyclic")
     return normalize(group.order(), 1)
 

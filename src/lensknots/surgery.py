@@ -243,9 +243,9 @@ def _core_order(link, i, rows, diag):
     # has rank n - 1 - len(diag2)
     if len(diag2) >= len(diag):  # the quotient's rank is lower
         return INFINITE
-    order, rest = divmod(math.prod(diag), math.prod(diag2))
-    assert rest == 0
-    return order
+    # the core spans a finite subgroup, so |torsion of H1| = order * |torsion
+    # of the quotient| and the division is exact
+    return math.prod(diag) // math.prod(diag2)
 
 
 def blow_down(link: FramedLink, c: int) -> FramedLink:

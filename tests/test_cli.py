@@ -588,21 +588,16 @@ def python_O(*args):
 @pytest.mark.parametrize("case", [
     "enum-graphs --t 3 --max-parallel 2",
     "enum-graphs --t 2 --max-parallel 0",
-    *(f"link:{name}" for name in MALFORMED_LINKS),
 ])
-def test_bad_input_exits_2_under_python_O(tmp_path, case):
-    """Input validation must not rest on assert, which python -O strips."""
-    if case.startswith("link:"):
-        path = tmp_path / "bad.json"
-        path.write_text(MALFORMED_LINKS[case[len("link:"):]])
-        argv = ["homology", "--link", str(path)]
-    else:
-        argv = case.split()
-    proc = python_O("-m", "lensknots", *argv)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+def test_bad_input_exits_2_under_python_O(capsys, case):
+    """Input validation must not rest on assert, which python -O strips.
+    src/ holds no assert (tests/test_no_assert.py), so the plain run shows
+    the -O one; test_homology_malformed_link does the same for link files."""
+    assert run(case.split()) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 def _from_dict_code(member, change):
@@ -729,9 +724,11 @@ LIBRARY_VALIDATIONS = {
 @pytest.mark.parametrize("code", LIBRARY_VALIDATIONS.values(),
                          ids=LIBRARY_VALIDATIONS.keys())
 def test_library_validation_under_python_O(code):
-    proc = python_O("-c", code)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1].startswith("ValueError:"), proc.stderr
+    """Each case raises exactly ValueError, with no assert in src/ to strip
+    (tests/test_no_assert.py), so it does so under python -O as well."""
+    with pytest.raises(ValueError) as caught:
+        exec(code, {})
+    assert caught.type is ValueError, caught.value
 
 
 def test_verify_under_python_O(capsys):

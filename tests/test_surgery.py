@@ -1,8 +1,4 @@
 import math
-import os
-import pathlib
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -16,8 +12,6 @@ from lensknots.surgery import (INFINITE, UNFILLED, AbelianGroup, FramedLink,
                                blow_down, chain3, core_order, core_orders, h1,
                                h1_presentation, link_from_json, link_to_json,
                                unknot, whitehead)
-
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_builtins():
@@ -354,23 +348,6 @@ def test_memo_rows_cannot_be_changed_by_a_caller():
     got[0] = 7
     assert surgery._reduced_h1(link) == (rows, diag)
     assert core_orders(link) == orders and h1(link) == group
-
-
-def test_memo_under_python_O():
-    """The memo tests pass with asserts stripped from the package."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    tests = [f"{__file__}::{name}" for name in (
-        "test_memo_alternating_links_match_fresh",
-        "test_memo_core_order_refuses_unfilled_link_closed_link_reads_fresh",
-        "test_memo_rows_cannot_be_changed_by_a_caller")]
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *tests],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("3 passed"), proc.stdout
 
 
 def test_blow_down_chain_to_whitehead():
