@@ -26,7 +26,7 @@ from .families import FamilyId, _verify_line, family_space, instantiate
 from .fatgraph import iter_configs
 from .gridknots import find_torus_grid_witness
 from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant, trace
-from .surgery import INFINITE, core_orders, h1, link_from_json, link_to_obj
+from .surgery import INFINITE, core_order, h1, link_from_json, link_to_obj
 
 
 def _order_str(o):
@@ -189,8 +189,8 @@ def _cmd_homology(args):
         names = ", ".join(str(i) for i in unfilled)
         print(f"core orders: undefined, components {names} are unfilled")
     else:
-        for i, order in enumerate(core_orders(link)):
-            print(f"core order of component {i}: {_order_str(order)}")
+        for i in range(link.num_components):
+            print(f"core order of component {i}: {_order_str(core_order(link, i))}")
     return 0
 
 

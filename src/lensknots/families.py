@@ -139,32 +139,6 @@ class FamilyInstance:
             "grid_index": self.grid_index,
         }
 
-    @classmethod
-    def from_dict(cls, d) -> "FamilyInstance":
-        """The member a dict written by to_dict describes, rebuilt by
-        instantiate from its family and parameter; any other dict raises
-        ValueError."""
-        if not isinstance(d, dict):
-            raise ValueError("an instance is one JSON object")
-        if d.get("schema_version") != 1:
-            raise ValueError("unsupported schema_version; this reader takes 1")
-        inst = instantiate(d.get("family"), k=d.get("k"), rq=d.get("rq"))
-        if not _same(dict(d), inst.to_dict()):
-            raise ValueError(f"instance is not the dict of {_label(inst)}")
-        return inst
-
-
-def _same(a, b):
-    """a == b with equal types at every depth, so True != 1 and 2.0 != 2.
-    It recurses only where b does, so a deeply nested a costs one step."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in b)
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b
-
 
 _word = _trusted_builder(MappingWord)
 # takes the fields in order: family, k, rq, space, surgery, core_index,

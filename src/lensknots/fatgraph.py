@@ -100,13 +100,12 @@ class ArcSystemConfig:
         if not 0 <= m < 2 * e:
             raise IndexError(f"slot {m} out of range 0..{2 * e - 1}")
         r = m - e if m >= e else m
-        # the bundles in BUNDLE_ORDER, unrolled
-        n_a, n_b = self.n_a, self.n_b
-        if r < n_a:
-            return "A", n_a, 0
-        if r < n_a + n_b:
-            return "B", n_b, n_a
-        return "C", self.n_c, n_a + n_b
+        # the counts sum to e > r, so some bundle holds r
+        b = 0
+        for letter, n in zip(BUNDLE_ORDER, self.counts):
+            if r < b + n:
+                return letter, n, b
+            b += n
 
     def slot_info(self, m):
         """(bundle letter, index within bundle, is_start) of a global slot."""

@@ -177,8 +177,9 @@ def h1(link: FramedLink) -> AbelianGroup:
 
     The rows are built here, one per filled component and one entry per
     component each, so the Smith diagonal is read with no row check.  It
-    comes from the one-link memo of `_reduced_h1`, which `core_order` and
-    `core_orders` share.
+    comes from the one-link memo of `_reduced_h1`, which `core_order`
+    shares, so `h1` and the core order of every component of one link
+    take that diagonal once.
     """
     return _cokernel(_reduced_h1(link)[1], len(link.linking))
 
@@ -196,17 +197,11 @@ def core_order(link: FramedLink, i: int):
     presentation of ncols columns has rank ncols - len(diag), and the
     product of the diagonal is the torsion's order, since its 1s change
     nothing (for a finite H1 it is |det| of the square presentation).
+    H1's diagonal comes from the `_reduced_h1` memo, so `h1` and the core
+    order of each of n components take n + 1 Smith forms in all.
     """
     _check_component(link, i)
     return _core_order(link, i, *_reduced_h1(link))
-
-
-def core_orders(link: FramedLink):
-    """The core order of every component, as `core_order` gives it, with
-    the Smith diagonal of H1 taken once for all of them, and not again
-    after `h1` of the same link (see `_reduced_h1`)."""
-    rows, diag = _reduced_h1(link)
-    return [_core_order(link, i, rows, diag) for i in range(len(link.linking))]
 
 
 # the last link _reduced_h1 reduced, with its rows and diagonal
@@ -307,10 +302,6 @@ def link_from_obj(obj) -> FramedLink:
         raise ValueError('coefficients must be a list of strings like "-5/2"')
     return FramedLink.make(linking, [None if c == "-" else c for c in coefficients],
                            obj.get("name"))
-
-
-def link_to_json(link: FramedLink) -> str:
-    return json.dumps(link_to_obj(link), indent=2, sort_keys=True) + "\n"
 
 
 def link_from_json(text: str) -> FramedLink:

@@ -11,12 +11,13 @@ and record the change in CHANGES.md.
 
 import contextlib
 import io
+import json
 import shlex
 import tempfile
 from pathlib import Path
 
 from lensknots.cli import run
-from lensknots.surgery import chain3, link_to_json, unknot, whitehead
+from lensknots.surgery import chain3, link_to_obj, unknot, whitehead
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.txt"
 
@@ -59,7 +60,8 @@ def commands():
 def transcript(directory: Path) -> str:
     """Run every command in-process; link files are written to directory."""
     for name, link in LINKS.items():
-        (directory / name).write_text(link_to_json(link))
+        (directory / name).write_text(
+            json.dumps(link_to_obj(link), indent=2, sort_keys=True))
     parts = []
     for argv in commands():
         real = argv[:-1] + [str(directory / argv[-1])] if argv[0] == "homology" else argv

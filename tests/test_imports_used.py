@@ -15,7 +15,8 @@ public class, must be read by a library module, by `perfbench/*.py` or by
 a constant's own assignment does not count), an `Attribute` node, or a
 component of a dotted string such as "fatgraph.ArcSystemConfig.slot_info",
 since the benchmark's tracer patches some methods by name.  A name that
-only its own unit test reaches is dead code and should go with its test.
+only its own unit test reaches is dead code and should go with its test;
+there is no exception list.
 The check matches names, not definitions: a method is taken as read when
 any attribute of that name is read, so `VerificationReport.to_dict`
 passes on the strength of `FamilyInstance.to_dict` in `cli`, and a
@@ -38,12 +39,6 @@ SRC = ROOT / "src" / "lensknots"
 MODULES = sorted(SRC.glob("*.py"))
 READERS = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
-
-# public names kept with no reader above, each for a reason
-ALLOWED_UNREAD = {
-    "FamilyInstance.from_dict": "the documented reader of `family --json`",
-    "link_to_json": "writes the format that `homology --link` reads",
-}
 
 
 def unused_imports(tree):
@@ -173,14 +168,6 @@ def test_every_public_name_read():
     read = read_by_readers()
     unread = [f"{path.stem}.{name}" for path in MODULES
               for name in public_defs(parse(path))
-              if name.split(".")[-1] not in read and name not in ALLOWED_UNREAD]
+              if name.split(".")[-1] not in read]
     assert unread == []
 
-
-def test_allowlist_entries_are_defined_and_unread():
-    """An allowlist entry that gains a reader or loses its definition goes."""
-    read = read_by_readers()
-    defined = {name for path in MODULES for name in public_defs(parse(path))}
-    for name in ALLOWED_UNREAD:
-        assert name in defined, name
-        assert name.split(".")[-1] not in read, name

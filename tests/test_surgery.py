@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -9,9 +10,8 @@ from lensknots.families import instantiate
 from lensknots.gridknots import grid1_order
 from lensknots.lenspaces import LensSpace, Slope
 from lensknots.surgery import (INFINITE, UNFILLED, AbelianGroup, FramedLink,
-                               blow_down, chain3, core_order, core_orders, h1,
-                               h1_presentation, link_from_json, link_to_json,
-                               unknot, whitehead)
+                               blow_down, chain3, core_order, h1, h1_presentation,
+                               link_from_json, link_to_obj, unknot, whitehead)
 
 
 def test_builtins():
@@ -252,28 +252,10 @@ def test_core_order_bezout_independent(link, t):
         assert reference_core_order(link, i, (c + t * p, d + t * q)) == base
 
 
-@settings(max_examples=200)
-@given(st.one_of(closed_links(), singular_links()), st.data())
-def test_core_orders_match_core_order(link, data):
-    """One Smith form of H1 for every component gives the per-component
-    orders; with a component left unfilled both refuse the link alike."""
-    n = link.num_components
-    assert core_orders(link) == [core_order(link, i) for i in range(n)]
-    gone = data.draw(st.integers(0, n - 1))
-    half = FramedLink.make(link.linking, [None if j == gone else c
-                                          for j, c in enumerate(link.coefficients)])
-    with pytest.raises(ValueError) as many:
-        core_orders(half)
-    for i in range(n):
-        with pytest.raises(ValueError) as one:
-            core_order(half, i)
-        assert str(one.value) == str(many.value)
-
-
 # --- the one-link memo of _reduced_h1 ----------------------------------------
 #
-# `h1`, `core_order` and `core_orders` share the rows and Smith diagonal of
-# the last link they reduced.  The expected values below come from
+# `h1` and `core_order` share the rows and Smith diagonal of the last link
+# they reduced.  The expected values below come from
 # `from_presentation` and the Bezout reference, which never read the memo.
 
 
@@ -287,6 +269,11 @@ def fresh(link):
     return AbelianGroup.from_presentation(h1_presentation(link), n), orders
 
 
+def orders_of(link):
+    """core_order of every component, in order, as `homology` prints them."""
+    return [core_order(link, i) for i in range(link.num_components)]
+
+
 @settings(max_examples=100)
 @given(closed_links(), st.one_of(closed_links(), singular_links()))
 def test_memo_alternating_links_match_fresh(a, b):
@@ -298,10 +285,9 @@ def test_memo_alternating_links_match_fresh(a, b):
     want[id(twin)] = want[id(a)]
     for link in (a, b, twin, a, twin, b, b, a):
         group, orders = want[id(link)]
-        assert core_orders(link) == orders
-        assert h1(link) == group
-        assert [core_order(link, i) for i in range(len(orders))] == orders
-        assert h1(link) == group
+        for _ in range(2):
+            assert orders_of(link) == orders
+            assert h1(link) == group
         assert surgery._last_h1[0] is link  # held, by identity
     for link in (a, b, twin):  # h1 first, then core_order, as verify asks
         group, orders = want[id(link)]
@@ -326,14 +312,13 @@ def test_memo_core_order_refuses_unfilled_link_closed_link_reads_fresh(link, dat
         with pytest.raises(ValueError, match="^core_order needs a closed "
                            "manifold: fill every component$"):
             core_order(half, i)
-    with pytest.raises(ValueError, match="fill every component"):
-        core_orders(half)
-    assert core_orders(link) == orders and h1(link) == group
+    assert orders_of(link) == orders and h1(link) == group
 
 
 def test_memo_rows_cannot_be_changed_by_a_caller():
-    """The shared rows and diagonal are tuples, and what the public
-    functions return is built anew, so no caller can change the memo."""
+    """The shared rows and diagonal are tuples, and the rows
+    `h1_presentation` returns are built anew, so no caller can change the
+    memo."""
     link = chain3("2", "3", "-5/2")
     group, orders = fresh(link)
     rows, diag = surgery._reduced_h1(link)
@@ -344,10 +329,8 @@ def test_memo_rows_cannot_be_changed_by_a_caller():
     with pytest.raises(TypeError):
         rows[0] += (1,)
     h1_presentation(link)[0][0] = 7
-    got = core_orders(link)
-    got[0] = 7
     assert surgery._reduced_h1(link) == (rows, diag)
-    assert core_orders(link) == orders and h1(link) == group
+    assert orders_of(link) == orders and h1(link) == group
 
 
 def test_blow_down_chain_to_whitehead():
@@ -403,7 +386,8 @@ def test_json_round_trip():
                  chain3(UNFILLED, "inf", "7"),
                  unknot("0"),
                  FramedLink.make(((0, 3), (3, 0)), ("1/2", "-4"))):
-        assert link_from_json(link_to_json(link)) == link
+        assert link_from_json(json.dumps(link_to_obj(link), indent=2,
+                                         sort_keys=True)) == link
 
 
 entries = st.one_of(st.integers(-3, 3), st.booleans())
@@ -418,7 +402,7 @@ def test_every_made_link_round_trips(lk, coefficients):
         link = FramedLink.make([[0, lk], [lk, 0]], coefficients)
     except ValueError:
         return
-    assert link_from_json(link_to_json(link)) == link
+    assert link_from_json(json.dumps(link_to_obj(link))) == link
 
 
 def test_json_rejects_unknown_schema():
