@@ -659,9 +659,10 @@ LIBRARY_VALIDATIONS = {
 
 @pytest.mark.parametrize("case", LIBRARY_VALIDATIONS.values(),
                          ids=LIBRARY_VALIDATIONS.keys())
-def test_library_validation_raises_value_error(case):
-    """Each case raises exactly ValueError.  src/ holds no assert
-    (tests/test_no_assert.py), so it does so under python -O as well."""
+def test_library_validation_under_python_O(case):
+    """Each case raises exactly ValueError.  It runs in-process: src/ holds
+    no assert (tests/test_no_assert.py), so it does so under python -O as
+    well."""
     with pytest.raises(ValueError) as caught:
         case()
     assert caught.type is ValueError, caught.value
