@@ -197,6 +197,21 @@ _region = _trusted_builder(Region)
 _cycle = _trusted_builder(ScharlemannCycle)
 _color = attrgetter("color")
 _NULL = (0, 0)  # the homology class of a bigon
+# per letter, entry j is bigon j's edge set {(letter, j-1), (letter, j)};
+# empty until a bundle needs it (see _bigon_edges)
+_BIGON_EDGES = {letter: [] for letter in BUNDLE_ORDER}
+
+
+def _bigon_edges(letter, n):
+    """The letter's edge-set table, grown to at least n entries.  Growing
+    keeps every built set and rebinds a longer list, so a list once read
+    never changes; threads that grow it at once can only build equal sets
+    twice."""
+    table = _BIGON_EDGES[letter]
+    if len(table) < n:
+        ids = [(letter, j) for j in range(len(table) - 1, n)]
+        table = _BIGON_EDGES[letter] = table + list(map(frozenset, zip(ids, ids[1:])))
+    return table
 
 
 def _bigons(cfg, letter, n, b, first, step):
@@ -210,15 +225,15 @@ def _bigons(cfg, letter, n, b, first, step):
     at b+j; its class is zero.  Its two corners lie E+n-2j apart, so at
     t = 2 they share a colour exactly when E+n is even, and they lie on
     one knot segment v = (E+b+n-1-j + offset) mod t exactly when t divides
-    E+n-2j: then the bigon is a Scharlemann cycle.  Each edge id (letter, j)
-    is built once, and neighbouring bigons share it.
+    E+n-2j: then the bigon is a Scharlemann cycle.  Its edge set
+    {(letter, j-1), (letter, j)} is entry j of the shared table of
+    _bigon_edges, so every report holds the same object for it.
     """
     top = cfg.num_edges + b + n  # bigon j's corners are top-1-j and b+j-1
     outs = zip(range(b + first, b + n, step), range(top - first, top - n, -step))
     corners = zip(range(top - 1 - first, top - 1 - n, -step),
                   range(b + first - 1, b + n - 1, step))
-    ids = list(zip(repeat(letter), range(first - 1, n)))
-    edges = map(frozenset, zip(ids[::step], ids[1::step]))
+    edges = _bigon_edges(letter, n)[first:n:step]
     if cfg.t == 2 and (top - b) % 2 == 0:
         # at t = 2 a corner's colour is its parity's, and the first corner
         # of the next bigon lies step slots lower

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,8 @@ from lensknots.cli import run
 from lensknots.fatgraph import (BUNDLE_ORDER, CLASSES, ArcSystemConfig, Circle,
                                 FaceReport, Region, ScharlemannCycle,
                                 enumerate_configs, faces, scharlemann_cycles)
+
+from conftest import child_env
 
 DATA = pathlib.Path(__file__).parent / "data" / "figure_faces.json"
 
@@ -491,3 +495,58 @@ def test_enum_graphs_slices_have_sound_faces(capsys, t):
         cycles = scharlemann_cycles(cfg)
         assert all((c.edges, c.length) in disks for c in cycles)
         assert cycles == ref_scharlemann_cycles(report)
+
+
+# --- the shared table of bigon edge sets --------------------------------------
+
+def one_bundle(letter, n):
+    """The t = 2 configuration whose n arcs all lie in the bundle `letter`."""
+    return ArcSystemConfig(n, 2, *(n if x == letter else 0 for x in BUNDLE_ORDER))
+
+
+def bigon_edges(report):
+    """{edge set: the object a bigon circle of the report holds}."""
+    return {c.edges: c.edges for c in report.circles if c.length == 2 and
+            not c.is_essential}
+
+
+def test_edge_table_grows_out_of_order(monkeypatch):
+    """Grown by bundles of 5, 400, 3 and 60 arcs on each letter, every table
+    is as long as the largest bundle, entry j is {(L, j-1), (L, j)}, and a
+    growth keeps the sets already built."""
+    monkeypatch.setattr(fatgraph, "_BIGON_EDGES", {x: [] for x in BUNDLE_ORDER})
+    for letter in BUNDLE_ORDER:
+        built, longest = [], 0
+        for n in (5, 400, 3, 60):
+            faces(one_bundle(letter, n))
+            table = fatgraph._BIGON_EDGES[letter]
+            longest = max(longest, n)
+            assert len(table) == longest
+            assert all(new is old for new, old in zip(table, built))
+            built = table
+        assert table == [frozenset({(letter, j - 1), (letter, j)}) for j in range(400)]
+
+
+def test_reports_share_each_bigon_edge_set(monkeypatch):
+    """Two configurations with a bigon at the same (letter, j) hold one edge
+    object for it, in their faces and their Scharlemann cycles, even when
+    the table grows between them."""
+    monkeypatch.setattr(fatgraph, "_BIGON_EDGES", {x: [] for x in BUNDLE_ORDER})
+    first, second = ArcSystemConfig(4, 2, 4, 0, 0), ArcSystemConfig(6, 2, 4, 2, 0)
+    before = bigon_edges(faces(first))
+    faces(one_bundle("A", 60))
+    after = bigon_edges(faces(second))
+    key = frozenset({("A", 1), ("A", 2)})
+    assert before[key] is after[key]
+    for cfg in (first, second):
+        cycle, = (c for c in scharlemann_cycles(cfg) if c.edges == key)
+        assert cycle.edges is before[key]
+
+
+def test_import_builds_no_edge_set():
+    """The table is filled by faces and scharlemann_cycles, not at import."""
+    code = "import lensknots.cli, lensknots.fatgraph as f; print(f._BIGON_EDGES)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{'A': [], 'B': [], 'C': []}\n"
