@@ -1,6 +1,11 @@
 """Acceptance battery.
 
-Eleven criteria, one test each, run in order.  Every test prints one
+Eleven criteria, one test each, run in order: lens space arithmetic,
+surgery homology and core orders across the atlas, blow-down
+equivalences, monodromy classes and bundle homology, the grid sequence
+ladders, torus types, the arc system censuses, the five fillings of the
+genus-one fibered knots, and the CLI round trip with a check that a
+corrupted closed form makes `verify` exit 1.  Every test prints one
 "ACCEPTANCE n: PASS/FAIL" line (visible with pytest -s or -rP); the test
 outcome carries the same information for plain runs.
 """

@@ -445,9 +445,10 @@ def test_verify_reversed_range(capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_wide_range_streams_under_memory_limit(jobs):
-    """Six million k per family stream in bounded memory: the child, limited
-    to 400 MB of address space, prints its first lines and, when the pipe
-    is closed, exits 141 (128 + SIGPIPE) with nothing on stderr."""
+    """Six million k per family stream in bounded memory, with one process
+    and with two: the child, limited to 400 MB of address space, prints
+    its first lines and, when the pipe is closed, exits 141 (128 + SIGPIPE)
+    with nothing on stderr."""
     resource = pytest.importorskip("resource")
     limit = 400 * 1024 * 1024
 
@@ -696,6 +697,8 @@ def test_mcg_word(capsys):
 
 
 def test_mcg_huge_exponent(capsys):
+    """The label is run-length encoded, so an exponent of 10^11 answers at
+    once."""
     assert run(["mcg", "--word", "x^100000000000 y"]) == 0
     out, _ = out_of(capsys)
     assert "conjugacy invariant: LR^99999999996" in out.splitlines()
@@ -774,9 +777,10 @@ def test_grid_huge_da_under_memory_limit():
 
 
 def test_grid_huge_colliding_candidate_under_memory_limit():
-    """Candidates that close up but whose strands collide are refused
-    residue by residue, in constant memory: five million residues per
-    candidate would not fit in the limit as a list and its set."""
+    """Candidates that close up but whose strands collide are refused in
+    constant memory, their collisions counted by floor sums: five million
+    residues per candidate would not fit in the limit as a list and its
+    set."""
     proc = grid_under_memory_limit("--r", "5000011", "--q", "4285724", "--da", "2",
                                    "--db", "5000004")
     assert proc.returncode == 1, proc.stderr

@@ -410,9 +410,11 @@ def _mutants():
 
 @pytest.mark.parametrize("fams, field, value", _mutants())
 def test_verify_catches_every_closed_form_mutant(monkeypatch, fams, field, value):
-    """verify over k in -20..20 fails on the mutant, in the check GUARDS
-    names for its field; a wrong q where p and q share a factor at every k
-    fails in instantiate instead."""
+    """verify over k in -20..20 fails on each of the 126 mutants, in the
+    check GUARDS names for its field; a wrong q where p and q share a
+    factor at every k fails in instantiate instead.  A sporadic flip on
+    I-III fails fibration: their Delta is monic at every k, so a member
+    marked not fibered does not pass."""
     for fam in fams:
         monkeypatch.setitem(families._FORMS, fam,
                             dataclasses.replace(families._FORMS[fam], **{field: value}))

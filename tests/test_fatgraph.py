@@ -144,6 +144,8 @@ def test_offset_swaps_colors_at_t2():
 
 
 def test_build_and_validation():
+    """scharlemann_cycles takes a configuration: its FaceReport raises
+    ValueError, as an invalid configuration does."""
     cfg = ArcSystemConfig(3, 2, 1, 1, 1)
     assert cfg.num_edges == 3 and cfg.num_slots == 6
     with pytest.raises(ValueError):
@@ -190,6 +192,10 @@ def test_scharlemann_cycle_definition():
 
 
 def test_enumeration():
+    """Small censuses by hand; then, for t = 2, 4, 6 and bundles of up to
+    8 arcs, the enumeration is complete against the arc-by-arc parity
+    oracle.  The parity rule is checked nowhere in the library but in the
+    loop steps of iter_configs."""
     four = enumerate_configs(2, 3, require_max=True)
     assert [(c.s, c.counts) for c in four] == [
         (3, (3, 0, 0)), (5, (3, 1, 1)), (7, (3, 3, 1)), (9, (3, 3, 3))]
@@ -238,6 +244,11 @@ def unbounded_triples(t, m, require_max):
 # at t = 4, E = 2s is even, so an odd M is never reached under require_max
 @pytest.mark.parametrize("t, m", [(2, 40), (2, 80), (4, 80), (6, 60), (4, 41), (4, 81)])
 def test_loop_bounds_keep_the_triples_and_their_order(t, m):
+    """The loop bounds of iter_configs drop no triple and keep the (s,
+    counts) order, with no sort.  a and b step by 2 in E's parity class,
+    and (E, 0, 0) is yielded apart.  With require_max, a is M alone and s
+    starts at ceil(2M/t), the first s with E >= M; for t/2 odd it visits
+    only the s with s = M (mod 2)."""
     for require_max in (False, True):
         got = [(c.s, *c.counts) for c in fatgraph.iter_configs(t, m, require_max)]
         assert got == list(unbounded_triples(t, m, require_max)), require_max
@@ -252,8 +263,7 @@ def test_loop_bounds_keep_the_triples_and_their_order(t, m):
 
 def test_require_max_skips_every_s_the_parity_rule_refuses(capsys):
     """With t divisible by 4 every E is even, so an odd M admits nothing:
-    the loop visits no s, where it once took time linear in M to print
-    the count, and a 4,000-digit M would have run for ever."""
+    the loop visits no s, and a 4,000-digit M prints `count: 0` at once."""
     big = str(10 ** 3999 + 1)
     for t in (4, 8):
         assert run(["enum-graphs", "--t", str(t), "--max-parallel", big, "--require-max"]) == 0

@@ -54,6 +54,13 @@ def commands():
     ]
     cmds += [["mcg", "--word", w] for w in WORDS]
     cmds += [["homology", "--link", name] for name in LINKS]
+    # witnesses (families I and III at k = 7 among them), two failures,
+    # one refused in O(log r) steps with db near r, and a bad q
+    cmds += [["grid", "--r", r, "--q", q, "--da", da, "--db", db]
+             for r, q, da, db in (("5", "1", "2", "3"), ("41", "13", "2", "3"),
+                                  ("60", "19", "3", "3"), ("7", "1", "2", "4"),
+                                  ("50000017", "21428579", "2", "50000010"),
+                                  ("6", "3", "2", "3"))]
     return cmds
 
 

@@ -52,6 +52,8 @@ def test_word_power_formula():
 @example(10 ** 40)
 @example(-10 ** 40)
 def test_twist_powers_are_closed_forms(e):
+    """x^e = [[1,e],[0,1]] and y^e = [[1,0],[-e,1]], taken in one step
+    whatever the size of e."""
     assert evaluate(f"x^{e}") == ((1, e), (0, 1))
     assert evaluate(f"y^{e}") == ((1, 0), (-e, 1))
 
@@ -192,6 +194,9 @@ def test_conjugacy_invariant_ignores_sign(w):
 @settings(max_examples=200)
 @given(words)
 def test_classify_matches_trace(w):
+    """|trace| > 2 is pseudo-Anosov, +-2 off the centre reducible, and a
+    periodic class has the order its powers show: 3, 4 or 6 at trace -1,
+    0 or 1."""
     m = word_matrix(w)
     c = classify(m)
     t = trace(m)

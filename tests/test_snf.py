@@ -110,6 +110,8 @@ smooth = st.builds(lambda a, b, c, sign: sign * 2 ** a * 3 ** b * 5 ** c,
 @given(st.lists(smooth, min_size=1, max_size=4), st.integers(0, 2),
        st.randoms(use_true_random=False))
 def test_shared_prime_diagonals(entries, zero_rows, rnd):
+    """Elimination with a least-absolute-value pivot only diagonalizes;
+    the closing pass puts gcd(d_i, d_j) at i and lcm(d_i, d_j) at j."""
     n = len(entries)
     rows = [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
     rows += [[0] * n for _ in range(zero_rows)]
@@ -151,6 +153,9 @@ def thin_matrices(draw):
 @settings(deadline=None, max_examples=300)
 @given(thin_matrices())
 def test_thin_matrices_match_determinantal_divisors(case):
+    """The closed form folds each row by Euclid steps into a Hermite basis
+    [[a, b], [0, c]] of the row lattice, in one pass; d1 is gcd(a, b, c)
+    and d1*d2 is |a*c|, the gcd of the 2x2 minors."""
     rank, rows = case
     diag = smith_normal_form(rows)
     assert diag == oracle_diagonal(rows)

@@ -116,7 +116,9 @@ def open_links(draw):
                          ("4", None, "-7/3", None)))
 def test_h1_is_the_checked_cokernel(link):
     """h1 reads the Smith diagonal of the rows it builds without the row
-    check of AbelianGroup.from_presentation, and gives the same group."""
+    check of AbelianGroup.from_presentation, and gives the same group.
+    The checked path stays for rows h1 does not build, such as those of
+    mcg.bundle_h1."""
     group = h1(link)
     assert group == AbelianGroup.from_presentation(h1_presentation(link),
                                                    link.num_components)
@@ -277,6 +279,8 @@ def test_every_dataclass_is_frozen_and_slotted():
 
 
 def test_values_survive_pickle_and_deepcopy():
+    """A value of every class, checked, unchecked or of fatgraph, comes
+    back equal from pickle and copy.deepcopy."""
     values = [*checked_samples(), *fatgraph_samples(), *unchecked_samples()]
     assert len({type(v) for v in values}) == 13
     for value in values:
