@@ -20,11 +20,24 @@ pairs slot m with E + 2b + n-1 - m.  Complementary regions are bounded by
 the circles of the ribbon structure: leave by slot p, run along the arc to
 its partner, then turn through the corner gap at the arrival slot and
 leave by the next slot; the circles are the cycles of
-m -> (partner(m) + 1) mod s*t.  Between neighbouring arcs j-1 and j of a
-bundle lies a bigon, whose slots, corners and colour are closed forms of
-j (see _bigons); it is a Scharlemann cycle exactly when t divides
-E + n - 2j.  The other circles run through the first start b and first
-end E+b of each nonempty bundle, and nested pairing fixes them too (see
+m -> (partner(m) + 1) mod s*t.
+
+Between neighbouring arcs j-1 and j of a bundle of n arcs from slot b lies
+a bigon, 1 <= j < n, whose circle is a closed form of j.  Leaving by the
+start b+j, it arrives at the end E+b+n-1-j, leaves by the next slot
+E+b+n-j, which is the end of arc j-1, arrives at b+j-1 and is back at
+b+j: its out slots are b+j and E+b+n-j, its corners E+b+n-1-j and b+j-1,
+its edges (letter, j-1) and (letter, j), and its class is zero.  That
+edge set is entry j of the shared table _BIGON_EDGES, so every report
+holds one object for it.  The two corners lie E+n-2j apart.  So at t = 2
+they share a colour exactly when E+n is even, and then the colour
+alternates with j; and they lie on one knot segment exactly when t
+divides E+n-2j, which makes the bigon a Scharlemann cycle.  That needs an
+even E+n, and then holds exactly for j = (E+n)/2 mod t/2, so the cycles
+of a bundle alternate between two segments, t/2 apart.
+
+The other circles run through the first start b and first end E+b of
+each nonempty bundle, and nested pairing fixes them too (see
 _outer_walk): leaving by b a circle next leaves by the next bundle's
 first end, and leaving by E+b by the next bundle's first start, so no
 circle is walked slot by slot.  Circles that are null-homologous in the
@@ -39,8 +52,6 @@ producers here that skip the dataclass check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, repeat
-from operator import attrgetter
 
 from .lenspaces import _trusted_builder
 
@@ -52,6 +63,12 @@ def _check_t(t):
     """The rule of t, for ArcSystemConfig and iter_configs."""
     if type(t) is not int or t < 2 or t % 2:
         raise ValueError(f"t must be an even int of at least 2, got {t!r}")
+
+
+def _check_slot(m):
+    """The rule of a slot or corner gap argument: an int, not a bool."""
+    if type(m) is not int:
+        raise ValueError(f"a slot must be an int, got {m!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +113,7 @@ class ArcSystemConfig:
     def _bundle(self, m):
         """(letter, n, b) of the bundle with an end at slot m: its n arcs
         start at slots b..b+n-1 and end at E+b..E+b+n-1."""
+        _check_slot(m)
         e = self.num_edges
         if not 0 <= m < 2 * e:
             raise IndexError(f"slot {m} out of range 0..{2 * e - 1}")
@@ -120,13 +138,15 @@ class ArcSystemConfig:
 
     def corner_side(self, g):
         """Which of the t knot segments the corner gap after slot g lies on."""
+        _check_slot(g)
         return (g + self.offset) % self.t
 
     def corner_color(self, g):
         """Two-colouring of corners for t = 2; None for other t."""
+        side = self.corner_side(g)
         if self.t != 2:
             return None
-        return "amber" if self.corner_side(g) == 0 else "blue"
+        return "amber" if side == 0 else "blue"
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +215,6 @@ _config = _trusted_builder(ArcSystemConfig)
 _circle = _trusted_builder(Circle)
 _region = _trusted_builder(Region)
 _cycle = _trusted_builder(ScharlemannCycle)
-_color = attrgetter("color")
 _NULL = (0, 0)  # the homology class of a bigon
 # per letter, entry j is bigon j's edge set {(letter, j-1), (letter, j)};
 # empty until a bundle needs it (see _bigon_edges)
@@ -214,39 +233,8 @@ def _bigon_edges(letter, n):
     return table
 
 
-def _bigons(cfg, letter, n, b, first, step):
-    """Bigons j = first, first+step, ... below n of the bundle `letter` of
-    n arcs from slot b, as four iterators over the fields of their Circles
-    but the class, which is zero: out slots, corners, edges and colours.
-
-    Bigon j is the disk between the bundle's arcs j-1 and j.  Leaving by
-    start b+j, its circle arrives at the end E+b+n-1-j, leaves by the next
-    slot E+b+n-j, which is the end of arc j-1, arrives at b+j-1 and is back
-    at b+j; its class is zero.  Its two corners lie E+n-2j apart, so at
-    t = 2 they share a colour exactly when E+n is even, and they lie on
-    one knot segment v = (E+b+n-1-j + offset) mod t exactly when t divides
-    E+n-2j: then the bigon is a Scharlemann cycle.  Its edge set
-    {(letter, j-1), (letter, j)} is entry j of the shared table of
-    _bigon_edges, so every report holds the same object for it.
-    """
-    top = cfg.num_edges + b + n  # bigon j's corners are top-1-j and b+j-1
-    outs = zip(range(b + first, b + n, step), range(top - first, top - n, -step))
-    corners = zip(range(top - 1 - first, top - 1 - n, -step),
-                  range(b + first - 1, b + n - 1, step))
-    edges = _bigon_edges(letter, n)[first:n:step]
-    if cfg.t == 2 and (top - b) % 2 == 0:
-        # at t = 2 a corner's colour is its parity's, and the first corner
-        # of the next bigon lies step slots lower
-        colors = cycle((cfg.corner_color(top - 1 - first),
-                        cfg.corner_color(top - 1 - first - step)))
-    else:
-        colors = repeat(None)
-    return outs, corners, edges, colors
-
-
 def _outer_circle(cfg, legs):
-    """The Circle that leaves by the legs' out slots in turn, each leg an
-    (out slot, corner, edge id, x, y) with (x, y) its step in class."""
+    """The Circle of an outer circle's legs (see _outer_walk)."""
     outs, corners, edges, xs, ys = zip(*legs)
     color = None
     # at t = 2 the colour of corner g depends only on the parity of g
@@ -256,14 +244,22 @@ def _outer_circle(cfg, legs):
 
 
 def _outer_walk(cfg):
-    """The circles of cfg that are not bigons, in bundle order.
+    """The circles of cfg that are not bigons, as legs, in bundle order.
 
-    Returns (steps, tail, essential).  Each step (head, letter, n, b) is a
-    nonempty bundle of n arcs from slot b, with head the circle whose least
-    slot is b, or None; tail holds the circles whose least slot is an end
-    slot.  Taking each step's head and then the bundle's bigons, and the
-    tail last, lists every circle in order of its least slot.  essential
-    holds the essential circles, none or a pair, in that order.
+    Returns (steps, tail).  Each step (head, letter, n, b) is a nonempty
+    bundle of n arcs from slot b, with head the legs of the circle whose
+    least slot is b, or None.  tail holds the legs of the circle whose
+    least slot is an end slot, or None: there is one only when one bundle
+    is nonempty, and then it and that bundle's head are the essential
+    pair.  Taking each step's head and then the bundle's bigons, and the
+    tail last, lists every circle in order of its least slot.
+
+    A circle's legs list one plain tuple (out slot, corner, edge id, x, y)
+    per slot it leaves by, in turn from its least: it leaves by the out
+    slot along the edge, arrives at the corner slot, so crosses the corner
+    gap after it, and steps by (x, y) in class.  The legs carry every
+    field of the circle's Circle, so a caller builds one only if it needs
+    it.
 
     The slots off the bigons are the first start b and first end E+b of
     each nonempty bundle, and nested pairing fixes their successors.
@@ -297,32 +293,44 @@ def _outer_walk(cfg):
     first = [(starts, ends)[i % 2][i] for i in range(m)]   # s0, e1, s2
     second = [(ends, starts)[i % 2][i] for i in range(m)]  # e0, s1, e2
     walks = [first + second] if m == 2 else [first, second[1:] + second[:1]]
-    outer = [_outer_circle(cfg, walk) for walk in walks]
-    heads = {c.out_slots[0]: c for c in outer if c.out_slots[0] < e}
-    steps = [(heads.get(b), letter, n, b) for letter, n, b in bundles]
-    tail = [c for c in outer if c.out_slots[0] >= e]
-    return steps, tail, outer if m == 1 else []
+    by_least = {walk[0][0]: walk for walk in walks}
+    steps = [(by_least.get(b), letter, n, b) for letter, n, b in bundles]
+    return steps, by_least.get(e + bundles[0][2])
 
 
 def faces(cfg: ArcSystemConfig) -> FaceReport:
-    """All complementary regions of the arc system in the torus."""
-    steps, tail, essential = _outer_walk(cfg)
-    circles = []
+    """All complementary regions of the arc system in the torus: a disk
+    per inessential circle, in order of its least slot, then the annulus
+    of the essential pair, if there is one."""
+    steps, tail = _outer_walk(cfg)
+    e = cfg.num_edges
+    circles, regions = [], []
     for head, letter, n, b in steps:
-        if head is not None:
-            circles.append(head)
-        outs, corners, edges, colors = _bigons(cfg, letter, n, b, 1, 1)
-        circles += map(_circle, outs, corners, edges, repeat(_NULL), colors)
-    circles += tail
-    disks, annuli = circles, ()
-    if essential:
-        a, b = essential
-        disks = [c for c in circles if c is not a and c is not b]
+        if head:
+            circle = _outer_circle(cfg, head)
+            circles.append(circle)
+            if not circle.is_essential:
+                regions.append(_region("disk", (circle,), circle.color))
+        top = e + b + n  # bigon j's corners are top-1-j and b+j-1
+        colors = None, None
+        if (e + n) % 2 == 0:
+            # bigon j's colour is its first corner's, by the parity of j
+            colors = cfg.corner_color(top - 1), cfg.corner_color(top - 2)
+        edges = _bigon_edges(letter, n)
+        for j in range(1, n):
+            color = colors[j % 2]
+            circle = _circle((b + j, top - j), (top - 1 - j, b + j - 1), edges[j],
+                             _NULL, color)
+            circles.append(circle)
+            regions.append(_region("disk", (circle,), color))
+    if tail:
+        # one bundle: its head, circles[0], and the tail bound the annulus
+        a, b = circles[0], _outer_circle(cfg, tail)
+        circles.append(b)
         colors = {a.color, b.color}
         color = colors.pop() if len(colors) == 1 else None
-        annuli = (_region("annulus", (a, b), color),)
-    regions = (*map(_region, repeat("disk"), zip(disks), map(_color, disks)), *annuli)
-    return FaceReport(cfg, tuple(circles), regions)
+        regions.append(_region("annulus", (a, b), color))
+    return FaceReport(cfg, tuple(circles), tuple(regions))
 
 
 def _label_pair(t, v):
@@ -330,19 +338,21 @@ def _label_pair(t, v):
     return frozenset({v + 1, (v + 1) % t + 1})
 
 
-def _disk_cycles(cfg, circle):
-    """The Scharlemann cycle of the circle, in a tuple of one, when it is
-    inessential (so bounds a disk) with every corner on one knot segment v;
-    otherwise ().
+def _disk_cycles(cfg, legs):
+    """The Scharlemann cycle of the outer circle with these legs, in a
+    tuple of one, when it is inessential (so bounds a disk) with every
+    corner on one knot segment v; otherwise ().
 
-    corners[i] is the partner of out_slots[i] and out_slots[i+1] is
-    corners[i] + 1 (mod s*t), so every edge then joins labels v+1 and v+2.
+    Each leg's corner is the partner of its out slot, and the next leg's
+    out slot is that corner + 1 (mod s*t), so every edge then joins labels
+    v+1 and v+2; and at t = 2 every corner has the first one's colour.
     """
-    sides = {cfg.corner_side(g) for g in circle.corners}
-    if circle.is_essential or len(sides) != 1:
+    _, corners, edges, xs, ys = zip(*legs)
+    sides = {cfg.corner_side(g) for g in corners}
+    if sum(xs) or sum(ys) or len(sides) != 1:
         return ()
-    return (_cycle(circle.edges, circle.length, _label_pair(cfg.t, sides.pop()),
-                   circle.color),)
+    return (_cycle(frozenset(edges), len(legs), _label_pair(cfg.t, sides.pop()),
+                   cfg.corner_color(corners[0])),)
 
 
 def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
@@ -352,28 +362,32 @@ def scharlemann_cycles(cfg: ArcSystemConfig) -> tuple:
     joining the two labels adjacent to that gap; it is the basic tool for
     bounding the intersection number t.  The cycles are read off the
     configuration's bigons and its outer circles, both in closed form,
-    without building its faces.
+    without building its faces or any Circle.
     """
-    steps, tail, _ = _outer_walk(cfg)
+    steps, _ = _outer_walk(cfg)  # the tail circle is essential
     t, e = cfg.t, cfg.num_edges
     half = t // 2
     out = []
     for head, letter, n, b in steps:
-        if head is not None:
+        if head:
             out += _disk_cycles(cfg, head)
         # t divides E+n-2j only for an even E+n, and then exactly when
         # j = (E+n)/2 mod t/2
         if (e + n) % 2:
             continue
         first = ((e + n) // 2 - 1) % half + 1
-        _, _, edges, colors = _bigons(cfg, letter, n, b, first, half)
+        g = e + b + n - 1 - first  # the first corner of bigon `first`
         # the first corner moves down t/2 slots from one cycle to the next,
-        # so the cycles alternate between two knot segments
-        v = cfg.corner_side(e + b + n - 1 - first)
+        # so the cycles alternate between two knot segments and, at t = 2,
+        # two colours
+        v = cfg.corner_side(g)
         pairs = _label_pair(t, v), _label_pair(t, (v + half) % t)
-        out += map(_cycle, edges, repeat(2), cycle(pairs), colors)
-    for circle in tail:
-        out += _disk_cycles(cfg, circle)
+        colors = cfg.corner_color(g), cfg.corner_color(g - half)
+        edges = _bigon_edges(letter, n)
+        k = 0
+        for j in range(first, n, half):
+            out.append(_cycle(edges[j], 2, pairs[k], colors[k]))
+            k ^= 1
     return tuple(out)
 
 

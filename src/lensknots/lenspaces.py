@@ -137,6 +137,8 @@ def q_orbit(p: int, q: int) -> tuple:
 
 
 def is_homeomorphic(a: LensSpace, b: LensSpace) -> bool:
+    if not (isinstance(a, LensSpace) and isinstance(b, LensSpace)):
+        raise ValueError(f"is_homeomorphic takes two LensSpaces, got {a!r} and {b!r}")
     return a == b or normalize(a.p, a.q) == normalize(b.p, b.q)
 
 

@@ -655,6 +655,11 @@ LIBRARY_VALIDATIONS = {
     "float-max-parallel": lambda: fatgraph.enumerate_configs(2, 3.0),
     "none-faces": lambda: fatgraph.faces(None),
     "none-cycles": lambda: fatgraph.scharlemann_cycles(None),
+    "bool-slot_info": lambda: fatgraph.ArcSystemConfig(1, 2, 1, 0, 0).slot_info(True),
+    "float-partner": lambda: fatgraph.ArcSystemConfig(1, 2, 1, 0, 0).partner(1.0),
+    "str-corner_color": lambda: fatgraph.ArcSystemConfig(2, 2, 2, 0, 0).corner_color("x"),
+    "none-corner_side": lambda: fatgraph.ArcSystemConfig(2, 2, 2, 0, 0).corner_side(None),
+    "int-is_homeomorphic": lambda: lenspaces.is_homeomorphic(1, 2),
 }
 
 

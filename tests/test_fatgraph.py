@@ -444,6 +444,23 @@ def test_only_the_outer_circles_are_traced(monkeypatch):
     assert len(cycles) >= 399 + 349 + 249
 
 
+def test_scharlemann_cycles_build_no_circle(monkeypatch):
+    """scharlemann_cycles tests the outer circles' corners and reads the
+    bigons' cycles off j, so it builds no Circle: not for one, two or
+    three bundles, and not for an outer circle that is a cycle."""
+    cfgs = [ArcSystemConfig(4, 2, 4, 0, 0), ArcSystemConfig(4, 2, 2, 2, 0),
+            ArcSystemConfig(5, 2, 3, 1, 1, 1), ArcSystemConfig(6, 4, 4, 4, 4, 3),
+            ArcSystemConfig(1000, 2, 400, 350, 250)]
+    expected = [scharlemann_cycles(cfg) for cfg in cfgs]
+    assert {c.length for cycles in expected for c in cycles} == {2, 3, 4}
+
+    def no_circle(*fields):
+        raise AssertionError("scharlemann_cycles built a Circle")
+
+    monkeypatch.setattr(fatgraph, "_circle", no_circle)
+    assert [scharlemann_cycles(cfg) for cfg in cfgs] == expected
+
+
 def check_outer_circles(cfg):
     """The identities of the nested-pairing rule.  With m nonempty bundles,
     the circles through their first start and first end slots use those
