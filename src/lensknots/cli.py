@@ -25,7 +25,7 @@ from collections import deque
 from .families import FamilyId, _verify_line, family_space, instantiate
 from .fatgraph import iter_configs
 from .gridknots import find_torus_grid_witness
-from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant, trace
+from .mcg import MappingWord, bundle_h1, classify, conjugacy_invariant
 from .surgery import INFINITE, core_order, h1, link_from_json, link_to_obj
 
 
@@ -197,12 +197,13 @@ def _cmd_homology(args):
 def _cmd_mcg(args):
     word = MappingWord.parse(args.word)
     m = word.matrix()
+    kind = classify(m)
     # every line is rendered before any is printed: an entry past the
     # int-to-str digit limit then leaves stdout empty
     print(f"word: {word if word.syllables else '(identity)'}\n"
           f"matrix: [[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]\n"
-          f"trace: {trace(m)}\n"
-          f"class: {classify(m)}\n"
+          f"trace: {kind.trace}\n"
+          f"class: {kind}\n"
           f"bundle H1: {bundle_h1(m)}\n"
           f"conjugacy invariant: {conjugacy_invariant(m)}")
     return 0

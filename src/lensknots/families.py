@@ -34,7 +34,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .gridknots import grid1_order, torus_grid_slope
-from .lenspaces import LensSpace, Slope, _slope, _trusted_builder, normalize, q_orbit
+from .lenspaces import LensSpace, Slope, _q_orbit, _slope, _trusted_builder, normalize
 from .mcg import MappingWord
 from .surgery import FramedLink, core_order, h1, link_to_obj, unknot, whitehead
 
@@ -49,7 +49,7 @@ class FamilyId(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class FamilyForm:
+class _FamilyForm:
     """Closed forms of one knotted family, all linear in the parameter k.
 
     alpha is the constant surgery coefficient, beta the coefficient m of
@@ -72,12 +72,12 @@ class FamilyForm:
 
 
 _FORMS = {
-    FamilyId.I: FamilyForm(-1, -6, (6, -1), (2, -1), core=1, s=(6, -1), grid=(0, 2),
-                           torus=(2, 3), twists=(1, 1)),
-    FamilyId.II: FamilyForm(-2, -4, (8, -2), (4, 1), core=1, s=(4, -1), grid=(0, 2),
-                            torus=(2, 4), twists=(2, 2)),
-    FamilyId.III: FamilyForm(-3, -3, (9, -3), (3, -2), core=1, s=(3, -1), grid=(0, 3),
-                             torus=(3, 3), twists=(3, 3)),
+    FamilyId.I: _FamilyForm(-1, -6, (6, -1), (2, -1), core=1, s=(6, -1), grid=(0, 2),
+                            torus=(2, 3), twists=(1, 1)),
+    FamilyId.II: _FamilyForm(-2, -4, (8, -2), (4, 1), core=1, s=(4, -1), grid=(0, 2),
+                             torus=(2, 4), twists=(2, 2)),
+    FamilyId.III: _FamilyForm(-3, -3, (9, -3), (3, -2), core=1, s=(3, -1), grid=(0, 3),
+                              torus=(3, 3), twists=(3, 3)),
 }
 # IV and V are the other cores of III's and II's fillings
 _FORMS[FamilyId.IV] = replace(_FORMS[FamilyId.III], core=0, s=(0, 3), grid=(3, -1),
@@ -96,7 +96,7 @@ def _as_family(f) -> FamilyId:
         f if isinstance(f, str) else type(f).__name__)
 
 
-def _form(family, k) -> FamilyForm:
+def _form(family, k) -> _FamilyForm:
     """The closed forms of a knotted family, once k is a nonzero integer."""
     family = _as_family(family)
     form = _FORMS.get(family)
@@ -393,7 +393,7 @@ def _check_linking_form(inst):
     c = pow(b, -1, abs(a))
     got = -b * c * c * (p // a) % p
     n2 = inst.grid_index ** 2
-    want = [n2 * x % p for x in q_orbit(p, inst.space.q)]
+    want = [n2 * x % p for x in _q_orbit(p, inst.space.q)]
     ok = got in want
     return ok, "p*lk(K,K) = {} mod {}, expected +-{} or +-{}", got, p, want[0], want[2]
 

@@ -55,8 +55,8 @@ from dataclasses import dataclass
 
 from .lenspaces import _trusted_builder
 
-CLASSES = {"A": (1, 0), "B": (1, 1), "C": (0, 1)}
-BUNDLE_ORDER = ("A", "B", "C")
+_CLASSES = {"A": (1, 0), "B": (1, 1), "C": (0, 1)}
+_BUNDLE_ORDER = ("A", "B", "C")
 
 
 def _check_t(t):
@@ -120,7 +120,7 @@ class ArcSystemConfig:
         r = m - e if m >= e else m
         # the counts sum to e > r, so some bundle holds r
         b = 0
-        for letter, n in zip(BUNDLE_ORDER, self.counts):
+        for letter, n in zip(_BUNDLE_ORDER, self.counts):
             if r < b + n:
                 return letter, n, b
             b += n
@@ -218,7 +218,7 @@ _cycle = _trusted_builder(ScharlemannCycle)
 _NULL = (0, 0)  # the homology class of a bigon
 # per letter, entry j is bigon j's edge set {(letter, j-1), (letter, j)};
 # empty until a bundle needs it (see _bigon_edges)
-_BIGON_EDGES = {letter: [] for letter in BUNDLE_ORDER}
+_BIGON_EDGES = {letter: [] for letter in _BUNDLE_ORDER}
 
 
 def _bigon_edges(letter, n):
@@ -277,11 +277,11 @@ def _outer_walk(cfg):
     e = cfg.num_edges
     bundles, starts, ends = [], [], []
     b = 0
-    for letter, n in zip(BUNDLE_ORDER, cfg.counts):
+    for letter, n in zip(_BUNDLE_ORDER, cfg.counts):
         if n:
             bundles.append((letter, n, b))
             # an arc is traversed along its class from its start to its end
-            x, y = CLASSES[letter]
+            x, y = _CLASSES[letter]
             starts.append((b, e + b + n - 1, (letter, 0), x, y))
             ends.append((e + b, b + n - 1, (letter, n - 1), -x, -y))
         b += n
@@ -397,6 +397,8 @@ def iter_configs(t, max_parallel, require_max=False):
     _check_t(t)
     if type(max_parallel) is not int or max_parallel < 1:
         raise ValueError(f"max_parallel must be an int of at least 1, got {max_parallel!r}")
+    if type(require_max) is not bool:
+        raise ValueError(f"require_max must be a bool, got {require_max!r}")
     first, step = 1, 1
     if require_max:
         # a bundle reaches M only once E = s*t/2 >= M, that is from

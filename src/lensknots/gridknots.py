@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .lenspaces import INFINITE, q_orbit
+from .lenspaces import INFINITE, _q_orbit
 
 
 def grid1_order(n, r):
@@ -93,7 +93,7 @@ def torus_grid_slope(r, q, da, db):
     without its sequence."""
     _check_grid(r, q, da, db)
     # each member of the orbit is a unit mod r, so it is not checked again
-    for qdot in q_orbit(r, q):
+    for qdot in _q_orbit(r, q):
         if _closes(r, qdot, da, db):
             return qdot
     return None

@@ -22,10 +22,10 @@ these, each bullet naming its producers before its colon:
 - `lenspaces.normalize` and `lenspaces.Slope.make`: after the input rule
   each shares with direct construction (`_check_lens` for `LensSpace`,
   `_check_slope` for `Slope`), the gcd reduction and the orbit minimum
-  make the fields valid, and `Slope.make(p, 0)` returns `INFINITY`;
+  make the fields valid, and `Slope.make(p, 0)` returns `_INFINITY`;
 - `surgery.AbelianGroup.from_presentation` and `surgery.h1`: after the
-  former's row-length check, and over the rows `h1_presentation` builds
-  from a checked link, a Smith diagonal is a divisibility chain;
+  former's row-length check, and over the rows `_reduced_h1` builds from
+  a checked link, a Smith diagonal is a divisibility chain;
 - `surgery.unknot` and `surgery.whitehead`: a constant matrix, and
   coefficients that go through `_coerce_slope`;
 - `families.instantiate`: the slopes `alpha/1` and `(beta*k + 1)/k`,
@@ -126,10 +126,10 @@ def normalize(p: int, q: int) -> LensSpace:
     """
     _check_lens(p, q)
     p = abs(p)
-    return _lens_space(p, 1 if p <= 1 else min(q_orbit(p, q)))
+    return _lens_space(p, 1 if p <= 1 else min(_q_orbit(p, q)))
 
 
-def q_orbit(p: int, q: int) -> tuple:
+def _q_orbit(p, q):
     """(q, -q, q^{-1}, -q^{-1}) mod p, for p >= 2 and gcd(p,q) = 1: the q
     of every lens space homeomorphic to L(p,q), in that order."""
     qinv = pow(q, -1, p)
@@ -167,7 +167,7 @@ class Slope:
         """Reduce p/q to canonical form; (p,q) and (-p,-q) give the same slope."""
         _check_slope(p, q)
         if q == 0:
-            return INFINITY
+            return _INFINITY
         g = gcd(p, q)
         p, q = p // g, q // g
         if q < 0:
@@ -184,12 +184,8 @@ class Slope:
             raise ValueError(f"slope {r!r} is not an int or an exact rational")
         return cls.make(p, q)
 
-    @property
-    def is_infinite(self):
-        return self.q == 0
-
     def __str__(self):
-        if self.is_infinite:
+        if self.q == 0:
             return "inf"
         if self.q == 1:
             return str(self.p)
@@ -197,9 +193,11 @@ class Slope:
 
     @classmethod
     def parse(cls, text: str) -> "Slope":
+        if type(text) is not str:
+            raise ValueError(f"a slope to parse is a string, got {text!r}")
         s = text.strip()
         if s in ("inf", "infinity"):
-            return INFINITY
+            return _INFINITY
         num, sep, den = s.partition("/")
         if "/" in den:
             raise ValueError(f"not a slope: {text!r}")
@@ -207,4 +205,4 @@ class Slope:
 
 
 _slope = _trusted_builder(Slope)
-INFINITY = Slope(1, 0)
+_INFINITY = Slope(1, 0)

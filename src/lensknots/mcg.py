@@ -26,20 +26,15 @@ import re
 from dataclasses import dataclass
 from .surgery import AbelianGroup
 
-IDENTITY = ((1, 0), (0, 1))
+_IDENTITY = ((1, 0), (0, 1))
 
 
-def mat_mul(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0],
-         a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-         a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def trace(a):
-    return a[0][0] + a[1][1]
+def mat_mul(m, n):
+    """The product of two matrices in SL(2,Z), each read as `evaluate`
+    reads it, so a word works too and anything else raises ValueError."""
+    (a, b), (c, d) = evaluate(m)
+    (e, f), (g, h) = evaluate(n)
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
 
 
 _SYLLABLE = re.compile(r"^([xy])(?:\^(-?\d+))?$")
@@ -62,6 +57,8 @@ class MappingWord:
 
     @classmethod
     def parse(cls, text: str) -> "MappingWord":
+        if type(text) is not str:
+            raise ValueError(f"a word to parse is a string, got {text!r}")
         syllables = []
         for token in text.split():
             m = _SYLLABLE.match(token)
@@ -87,10 +84,16 @@ class MappingWord:
         return MappingWord(tuple(stack))
 
     def matrix(self):
-        m = IDENTITY
-        for gen, e in self.syllables:  # x^e = [[1,e],[0,1]], y^e = [[1,0],[-e,1]]
-            m = mat_mul(m, ((1, e), (0, 1)) if gen == "x" else ((1, 0), (-e, 1)))
-        return m
+        a, b, c, d = 1, 0, 0, 1
+        for gen, e in self.syllables:
+            # times x^e = [[1,e],[0,1]] adds e times the first column to the
+            # second; times y^e = [[1,0],[-e,1]] takes e times the second
+            # from the first
+            if gen == "x":
+                b, d = b + e * a, d + e * c
+            else:
+                a, c = a - e * b, c - e * d
+        return (a, b), (c, d)
 
     def __str__(self):
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.syllables)
@@ -135,10 +138,10 @@ class TorusMapClass:
 def classify(w) -> TorusMapClass:
     """Nielsen-Thurston type from the homology action."""
     m = evaluate(w)
-    t = trace(m)
+    t = m[0][0] + m[1][1]
     if abs(t) > 2:
         return TorusMapClass(NTClass.PSEUDO_ANOSOV, t)
-    if m == IDENTITY or m == ((-1, 0), (0, -1)):
+    if m == _IDENTITY or m == ((-1, 0), (0, -1)):
         return TorusMapClass(NTClass.PERIODIC, t, order=1 if t == 2 else 2)
     if abs(t) == 2:
         return TorusMapClass(NTClass.REDUCIBLE, t)

@@ -23,11 +23,20 @@ from math import gcd
 def smith_normal_form(rows):
     """Diagonal of the Smith normal form of an integer matrix.
 
-    `rows` is a list of equal-length lists of ints (possibly empty).  Returns
-    the list of nonnegative diagonal entries d1 | d2 | ... | dk (divisibility
-    chain, zeros excluded), of length rank(M).
+    `rows` is a list of equal-length lists of ints (possibly empty); an
+    entry that is not an int, a bool included, or a row whose length is
+    not the first row's raises ValueError.  Returns the list of
+    nonnegative diagonal entries d1 | d2 | ... | dk (divisibility chain,
+    zeros excluded), of length rank(M).
     """
     ncols = len(rows[0]) if rows else 0
+    # plain loops: this check runs on every Smith form that verify takes
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError(f"every row needs {ncols} entries, as the first, got {row!r}")
+        for v in row:
+            if type(v) is not int:
+                raise ValueError(f"matrix entries must be ints, got {v!r}")
     if ncols == 1:
         (column,) = zip(*rows)
         d = gcd(*column)

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from .lenspaces import INFINITE, Slope, _trusted_builder
 from .snf import smith_normal_form
 
-UNFILLED = None
-
 
 def _coerce_slope(x):
     if x is None or isinstance(x, Slope):
@@ -122,6 +120,10 @@ class FramedLink:
 
     @classmethod
     def make(cls, linking, coefficients, name=None) -> "FramedLink":
+        if not (type(linking) in (list, tuple) and type(coefficients) in (list, tuple)
+                and all(type(row) in (list, tuple) for row in linking)):
+            raise ValueError("FramedLink.make takes a list of linking rows and a "
+                             "list of coefficients")
         linking = tuple(tuple(row) for row in linking)
         coefficients = tuple(_coerce_slope(c) for c in coefficients)
         return cls(linking, coefficients, name)
@@ -129,9 +131,6 @@ class FramedLink:
     @property
     def num_components(self):
         return len(self.linking)
-
-    def lk(self, i, j):
-        return self.linking[i][j]
 
 
 _link = _trusted_builder(FramedLink)
@@ -145,41 +144,27 @@ def _check_component(link, i):
     return n
 
 
-def unknot(coeff=UNFILLED) -> FramedLink:
+def unknot(coeff=None) -> FramedLink:
     return _link(((0,),), (_coerce_slope(coeff),), "unknot")
 
 
-def whitehead(a=UNFILLED, b=UNFILLED) -> FramedLink:
+def whitehead(a=None, b=None) -> FramedLink:
     """The Whitehead link: two components with linking number zero."""
     return _link(((0, 0), (0, 0)), (_coerce_slope(a), _coerce_slope(b)), "whitehead")
 
 
-def chain3(a=UNFILLED, b=UNFILLED, c=UNFILLED) -> FramedLink:
+def chain3(a=None, b=None, c=None) -> FramedLink:
     """Three components, each pair linking once positively."""
     return FramedLink.make(((0, 1, 1), (1, 0, 1), (1, 1, 0)), (a, b, c),
                            name="chain3")
 
 
-def h1_presentation(link: FramedLink):
-    """Relation rows of H1 on the meridian generators, one per filled comp."""
-    rows = []
-    for i, c in enumerate(link.coefficients):
-        if c is None:
-            continue
-        row = [c.q * x for x in link.linking[i]]
-        row[i] = c.p  # diagonal linking entry is zero, so nothing is lost
-        rows.append(row)
-    return rows
-
-
 def h1(link: FramedLink) -> AbelianGroup:
     """First homology of the filled manifold, unfilled components free.
 
-    The rows are built here, one per filled component and one entry per
-    component each, so the Smith diagonal is read with no row check.  It
-    comes from the one-link memo of `_reduced_h1`, which `core_order`
-    shares, so `h1` and the core order of every component of one link
-    take that diagonal once.
+    The Smith diagonal comes from the one-link memo of `_reduced_h1`,
+    which `core_order` shares, so `h1` and the core order of every
+    component of one link take that diagonal once.
     """
     return _cokernel(_reduced_h1(link)[1], len(link.linking))
 
@@ -209,8 +194,9 @@ _last_h1 = (None, (), ())
 
 
 def _reduced_h1(link):
-    """The relation rows of H1 and their Smith diagonal, as tuples, so no
-    caller can change them.
+    """The relation rows of H1 on the meridian generators, one per filled
+    component, and their Smith diagonal, as tuples, so no caller can
+    change them.
 
     The last link reduced is kept, so `h1` then `core_order` of one link,
     as `verify` and `homology` ask, reduce it once.  It is found by
@@ -222,7 +208,13 @@ def _reduced_h1(link):
     last, rows, diag = _last_h1
     if link is last:
         return rows, diag
-    rows = tuple(map(tuple, h1_presentation(link)))
+    rows = []
+    for i, c in enumerate(link.coefficients):
+        if c is not None:
+            row = [c.q * x for x in link.linking[i]]
+            row[i] = c.p  # the diagonal linking entry is zero, so nothing is lost
+            rows.append(tuple(row))
+    rows = tuple(rows)
     diag = tuple(smith_normal_form(rows))
     _last_h1 = link, rows, diag
     return rows, diag
@@ -256,10 +248,10 @@ def blow_down(link: FramedLink, c: int) -> FramedLink:
     if coeff is None or coeff.q != 1 or abs(coeff.p) != 1:
         raise ValueError(f"component {c} is not (+1)- or (-1)-framed")
     eps = coeff.p
+    lk = link.linking
     keep = [i for i in range(n) if i != c]
     linking = tuple(
-        tuple(link.lk(i, j) - eps * link.lk(c, i) * link.lk(c, j) if i != j else 0
-              for j in keep)
+        tuple(lk[i][j] - eps * lk[c][i] * lk[c][j] if i != j else 0 for j in keep)
         for i in keep)
     coeffs = []
     for i in keep:
@@ -267,7 +259,7 @@ def blow_down(link: FramedLink, c: int) -> FramedLink:
         if s is None:
             coeffs.append(None)
         else:
-            coeffs.append(Slope.make(s.p - eps * link.lk(c, i) ** 2 * s.q, s.q))
+            coeffs.append(Slope.make(s.p - eps * lk[c][i] ** 2 * s.q, s.q))
     return FramedLink(linking, tuple(coeffs))
 
 
@@ -284,7 +276,14 @@ def link_to_obj(link: FramedLink) -> dict:
     return obj
 
 
-def link_from_obj(obj) -> FramedLink:
+def link_from_json(text: str) -> FramedLink:
+    """The link of a link file's text, as `link_to_obj` writes it."""
+    if type(text) is not str:
+        raise ValueError(f"a link file is read as a string, got {type(text).__name__}")
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("link file nests too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("a link file holds one JSON object")
     if obj.get("schema_version") != 1:
@@ -302,11 +301,3 @@ def link_from_obj(obj) -> FramedLink:
         raise ValueError('coefficients must be a list of strings like "-5/2"')
     return FramedLink.make(linking, [None if c == "-" else c for c in coefficients],
                            obj.get("name"))
-
-
-def link_from_json(text: str) -> FramedLink:
-    try:
-        obj = json.loads(text)
-    except RecursionError:
-        raise ValueError("link file nests too deeply") from None
-    return link_from_obj(obj)

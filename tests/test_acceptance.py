@@ -108,7 +108,7 @@ def test_criterion_04_blow_down():
         chain = chain3(a, b, 1)
         blown = blow_down(chain, 2)
         assert blown.num_components == 2
-        assert blown.lk(0, 1) == 0
+        assert blown.linking[0][1] == 0
         assert blown.coefficients == (Slope.from_rational(a - 1),
                                       Slope.from_rational(b - 1))
         assert h1(chain) == h1(blown) == h1(whitehead(a - 1, b - 1))

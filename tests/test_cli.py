@@ -666,9 +666,11 @@ LIBRARY_VALIDATIONS = {
 @pytest.mark.parametrize("case", LIBRARY_VALIDATIONS.values(),
                          ids=LIBRARY_VALIDATIONS.keys())
 def test_library_validation_under_python_O(case):
-    """Each case raises exactly ValueError.  It runs in-process: src/ holds
-    no assert (tests/test_no_assert.py), so it does so under python -O as
-    well."""
+    """Each case raises exactly ValueError.  tests/test_contract.py swaps
+    the int arguments of every public callable for values of other types;
+    these cases add out-of-range values and other calls.  It runs
+    in-process: src/ holds no assert (tests/test_no_assert.py), so it does
+    so under python -O as well."""
     with pytest.raises(ValueError) as caught:
         case()
     assert caught.type is ValueError, caught.value

@@ -1,5 +1,5 @@
-"""tools/code_lines.py, the counter behind the code-size figures, on a
-module whose every line is accounted for."""
+"""tools/code_lines.py, the counter behind the code-size and public-surface
+figures, on modules whose every line and name is accounted for."""
 
 import importlib.util
 from pathlib import Path
@@ -41,3 +41,51 @@ def test_counts_code_lines_only(tmp_path):
     path = tmp_path / "shape.py"
     path.write_text(SOURCE)
     assert load_tool().code_lines(path) == 7
+
+
+SURFACE = '''import os
+from math import gcd as G
+
+K = 1
+_P = 2
+A: int = 3
+X, Y = 4, 5
+
+
+def f():
+    inner = 6
+
+
+async def g():
+    pass
+
+
+def _h():
+    pass
+
+
+class C:
+    M = 7
+
+    def method(self):
+        pass
+
+
+class _D:
+    pass
+
+
+if os.sep:
+    def k():
+        pass
+'''
+
+
+def test_counts_public_top_level_names(tmp_path):
+    """Functions and classes without a leading underscore, and the names
+    a plain or annotated module-level assignment binds; a tuple target,
+    an import, a class body, a function body and an `if` block add
+    nothing."""
+    path = tmp_path / "surface.py"
+    path.write_text(SURFACE)
+    assert load_tool().public_names(path) == (["f", "g", "C"], ["K", "A"])

@@ -12,7 +12,7 @@ from lensknots.families import (FamilyId, FamilyInstance, coincidence_scan,
                                 family_space, filling_table, gof_filling,
                                 instantiate, torus_knot_types, verify)
 from lensknots.lenspaces import LensSpace, Slope, is_homeomorphic, normalize
-from lensknots.mcg import MappingWord, bundle_h1, trace
+from lensknots.mcg import MappingWord, bundle_h1, classify
 
 from conftest import child_env
 
@@ -185,7 +185,7 @@ def test_alexander_closed_form_is_the_fox_derivative():
         assert families._alexander(Slope.make(p, q)) == exterior_delta(p, q), (p, q)
     # the fibered exterior of W(-n, .) has monodromy x^n y
     for n in range(1, 31):
-        tr = trace(MappingWord.parse(f"x^{n} y").matrix())
+        tr = classify(f"x^{n} y").trace
         assert exterior_delta(-n, 1) == (1, -tr, 1), n
 
 
@@ -376,7 +376,7 @@ def test_linking_form_edge_inputs():
         assert not check.passed and check.detail.startswith(named), check
 
 
-# the check that must catch a mutation of each FamilyForm field
+# the check that must catch a mutation of each _FamilyForm field
 GUARDS = {"alpha": "homology", "beta": "homology", "p": "homology", "q": "linking_form",
           "core": "core_order", "s": "core_order", "grid": "grid", "torus": "grid",
           "twists": "fibration", "sporadic": "fibration"}
@@ -392,7 +392,7 @@ def _mutants():
     for fam, form in families._FORMS.items():
         shared.setdefault(tuple(getattr(form, f) for f in FILLING), []).append(fam)
     cases = []
-    for field in (f.name for f in dataclasses.fields(families.FamilyForm)):
+    for field in (f.name for f in dataclasses.fields(families._FamilyForm)):
         groups = shared.values() if field in FILLING else [[f] for f in families._FORMS]
         for fams in groups:
             name = "+".join(f.value for f in fams) + "." + field

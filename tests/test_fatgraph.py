@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from lensknots import fatgraph
 from lensknots.cli import run
-from lensknots.fatgraph import (BUNDLE_ORDER, CLASSES, ArcSystemConfig, Circle,
+from lensknots.fatgraph import (_BUNDLE_ORDER, _CLASSES, ArcSystemConfig, Circle,
                                 FaceReport, Region, ScharlemannCycle,
                                 enumerate_configs, faces, scharlemann_cycles)
 
@@ -302,7 +302,7 @@ def ref_slot_info(cfg, m):
     e = cfg.num_edges
     is_start = m < e
     m = m % e
-    for letter, n in zip(BUNDLE_ORDER, cfg.counts):
+    for letter, n in zip(_BUNDLE_ORDER, cfg.counts):
         if m < n:
             return letter, m, is_start
         m -= n
@@ -311,14 +311,14 @@ def ref_slot_info(cfg, m):
 
 def ref_edge_of_slot(cfg, m):
     letter, j, is_start = ref_slot_info(cfg, m)
-    n = dict(zip(BUNDLE_ORDER, cfg.counts))[letter]
+    n = dict(zip(_BUNDLE_ORDER, cfg.counts))[letter]
     return (letter, j if is_start else n - 1 - j)
 
 
 def ref_partner(cfg, m):
     letter, j, is_start = ref_slot_info(cfg, m)
     base = 0
-    for lt, n in zip(BUNDLE_ORDER, cfg.counts):
+    for lt, n in zip(_BUNDLE_ORDER, cfg.counts):
         if lt == letter:
             other = base + (n - 1 - j)
             return other + cfg.num_edges if is_start else other
@@ -335,7 +335,7 @@ def ref_trace_circle(cfg, start, seen):
         seen.add(p)
         letter, _, is_start = ref_slot_info(cfg, p)
         edges.append(ref_edge_of_slot(cfg, p))
-        cls = CLASSES[letter]
+        cls = _CLASSES[letter]
         sign = 1 if is_start else -1
         h1 = (h1[0] + sign * cls[0], h1[1] + sign * cls[1])
         arrive = ref_partner(cfg, p)
@@ -528,7 +528,7 @@ def test_enum_graphs_slices_have_sound_faces(capsys, t):
 
 def one_bundle(letter, n):
     """The t = 2 configuration whose n arcs all lie in the bundle `letter`."""
-    return ArcSystemConfig(n, 2, *(n if x == letter else 0 for x in BUNDLE_ORDER))
+    return ArcSystemConfig(n, 2, *(n if x == letter else 0 for x in _BUNDLE_ORDER))
 
 
 def bigon_edges(report):
@@ -541,8 +541,8 @@ def test_edge_table_grows_out_of_order(monkeypatch):
     """Grown by bundles of 5, 400, 3 and 60 arcs on each letter, every table
     is as long as the largest bundle, entry j is {(L, j-1), (L, j)}, and a
     growth keeps the sets already built."""
-    monkeypatch.setattr(fatgraph, "_BIGON_EDGES", {x: [] for x in BUNDLE_ORDER})
-    for letter in BUNDLE_ORDER:
+    monkeypatch.setattr(fatgraph, "_BIGON_EDGES", {x: [] for x in _BUNDLE_ORDER})
+    for letter in _BUNDLE_ORDER:
         built, longest = [], 0
         for n in (5, 400, 3, 60):
             faces(one_bundle(letter, n))
@@ -558,7 +558,7 @@ def test_reports_share_each_bigon_edge_set(monkeypatch):
     """Two configurations with a bigon at the same (letter, j) hold one edge
     object for it, in their faces and their Scharlemann cycles, even when
     the table grows between them."""
-    monkeypatch.setattr(fatgraph, "_BIGON_EDGES", {x: [] for x in BUNDLE_ORDER})
+    monkeypatch.setattr(fatgraph, "_BIGON_EDGES", {x: [] for x in _BUNDLE_ORDER})
     first, second = ArcSystemConfig(4, 2, 4, 0, 0), ArcSystemConfig(6, 2, 4, 2, 0)
     before = bigon_edges(faces(first))
     faces(one_bundle("A", 60))

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lensknots.lenspaces import (INFINITY, LensSpace, Slope, is_homeomorphic,
-                                 normalize, q_orbit)
+from lensknots.lenspaces import (_INFINITY, LensSpace, Slope, _q_orbit,
+                                 is_homeomorphic, normalize)
 
 
 def test_normalize_examples():
@@ -87,9 +87,9 @@ def test_normalize_orbit_stable(pq):
 @given(st.tuples(st.integers(2, 500), st.integers(-1000, 1000)).filter(
     lambda t: math.gcd(*t) == 1))
 def test_q_orbit(pq):
-    """q_orbit is (q, -q, q^-1, -q^-1) mod p, and normalize takes its min."""
+    """_q_orbit is (q, -q, q^-1, -q^-1) mod p, and normalize takes its min."""
     p, q = pq
-    orbit = q_orbit(p, q)
+    orbit = _q_orbit(p, q)
     assert all(0 <= x < p for x in orbit)
     assert [x % p for x in (orbit[0] - q, orbit[1] + q, orbit[2] * q - 1,
                             orbit[3] * q + 1)] == [0, 0, 0, 0]
@@ -100,7 +100,7 @@ def test_q_orbit(pq):
 def test_slope_canonical_forms():
     assert Slope.make(6, -4) == Slope(-3, 2)
     assert Slope.make(-6, 4) == Slope(-3, 2)
-    assert Slope.make(5, 0) == INFINITY
+    assert Slope.make(5, 0) == _INFINITY
     assert Slope.make(-7, -1) == Slope(7, 1)
     assert Slope.from_rational(Fraction(10, 15)) == Slope(2, 3)
     assert Slope.from_rational(-4) == Slope(-4, 1)
@@ -119,9 +119,9 @@ def test_slope_canonical_forms():
 
 
 def test_slope_str_parse_round_trip():
-    for s in (Slope(7, 2), Slope(-3, 1), Slope(0, 1), INFINITY):
+    for s in (Slope(7, 2), Slope(-3, 1), Slope(0, 1), _INFINITY):
         assert Slope.parse(str(s)) == s
-    assert str(INFINITY) == "inf"
+    assert str(_INFINITY) == "inf"
     assert str(Slope(-3, 1)) == "-3"
     with pytest.raises(ValueError, match=r"^not a slope: '1/2/3'$"):
         Slope.parse("1/2/3")

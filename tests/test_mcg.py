@@ -6,11 +6,17 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lensknots.mcg import (IDENTITY, MappingWord, NTClass, _least_start, bundle_h1,
-                           classify, conjugacy_invariant, evaluate,
-                           lens_filling_word, mat_mul, trace)
-from lensknots.surgery import UNFILLED, AbelianGroup, h1, whitehead
+from lensknots.mcg import (MappingWord, NTClass, _least_start, bundle_h1, classify,
+                           conjugacy_invariant, evaluate, lens_filling_word, mat_mul)
+from lensknots.surgery import AbelianGroup, h1, whitehead
 from test_surgery import solve_bezout
+
+IDENTITY = ((1, 0), (0, 1))
+
+
+def trace(m):
+    return m[0][0] + m[1][1]
+
 
 # the Dehn twists x and y acting on first homology of the torus
 TWIST_X = ((1, 1), (0, 1))
@@ -123,7 +129,7 @@ def test_bundle_h1_examples():
 
 def test_bundle_h1_matches_whitehead_exterior():
     for p in range(1, 31):
-        assert bundle_h1(f"x^{p} y") == h1(whitehead(f"-{p}", UNFILLED))
+        assert bundle_h1(f"x^{p} y") == h1(whitehead(f"-{p}", None))
 
 
 def test_lens_filling_word():

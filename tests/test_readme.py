@@ -1,18 +1,20 @@
 """README.md against the code.
 
-Its `>>>` examples run as doctests, and it names every library name that
-the acceptance battery imports, so the module map covers what the
-battery relies on.
+Its `>>>` examples run as doctests, and the module map of its Library
+overview is the public surface: it names every public top-level
+function, class and constant of src/lensknots, and every name it gives
+exists.
 """
 
-import ast
 import doctest
+import importlib
 import re
 from pathlib import Path
 
+from test_imports_used import MODULES, parse, public_defs
+
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
-ACCEPTANCE = TESTS / "test_acceptance.py"
 
 
 def python_examples(text):
@@ -31,13 +33,29 @@ def run_examples(text):
     return runner.summarize(verbose=False)
 
 
-def acceptance_names():
-    """The names test_acceptance.py imports from lensknots modules."""
-    tree = ast.parse(ACCEPTANCE.read_text())
-    return {alias.asname or alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module
-            and node.module.split(".")[0] == "lensknots"
-            for alias in node.names}
+def module_map(text):
+    """{module: names} of the Library overview's bullets.  A bullet opens
+    with the code span `lensknots.<module>`, and each later code span in
+    it begins with a name of that module, dotted for a member of a class,
+    as `Slope.make` or `run(argv)`; a span that begins otherwise is kept
+    whole, so it names nothing that exists."""
+    section = text.split("\n## Library overview\n", 1)[1].split("\n## ", 1)[0]
+    out = {}
+    for bullet in re.findall(r"^- (.*(?:\n  .*)*)", section, re.M):
+        head, *spans = re.findall(r"`([^`]+)`", bullet)
+        names = [re.match(r"[A-Za-z_][\w.]*|.*", span).group() for span in spans]
+        out[head.removeprefix("lensknots.")] = names
+    return out
+
+
+def resolves(module, dotted):
+    """Whether each step of a dotted public name exists."""
+    obj = module
+    for part in dotted.split("."):
+        if part.startswith("_") or not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
 
 
 def test_readme_examples_run():
@@ -45,8 +63,22 @@ def test_readme_examples_run():
     assert failed == 0 and attempted >= 1, (failed, attempted)
 
 
-def test_readme_names_what_the_acceptance_battery_imports():
-    text = README.read_text()
-    missing = sorted(name for name in acceptance_names()
-                     if not re.search(rf"\b{re.escape(name)}\b", text))
-    assert missing == []
+def test_module_map_parses():
+    text = ("# t\n\n## Library overview\n\n- `lensknots.a` - `f(x)`, `C.m` and\n"
+            "  `K`; not `x^2` or `±1`.\n- `lensknots.b` - `g`.\n\n"
+            "## Next\n\n- `lensknots.c`\n")
+    assert module_map(text) == {"a": ["f", "C.m", "K", "x", "±1"], "b": ["g"]}
+
+
+def test_readme_map_is_the_public_surface():
+    names = module_map(README.read_text())
+    unnamed, missing = [], []
+    for path in MODULES:
+        public = [name for name in public_defs(parse(path)) if "." not in name]
+        named = names.pop(path.stem, [])
+        unnamed += [f"{path.stem}.{name}" for name in public
+                    if name not in {n.split(".")[0] for n in named}]
+        if named:
+            module = importlib.import_module(f"lensknots.{path.stem}")
+            missing += [f"{path.stem}.{n}" for n in named if not resolves(module, n)]
+    assert unnamed == [] and missing == [] and names == {}

@@ -9,22 +9,34 @@ from lensknots import lenspaces, surgery
 from lensknots.families import instantiate
 from lensknots.gridknots import grid1_order
 from lensknots.lenspaces import LensSpace, Slope
-from lensknots.surgery import (INFINITE, UNFILLED, AbelianGroup, FramedLink,
-                               blow_down, chain3, core_order, h1, h1_presentation,
-                               link_from_json, link_to_obj, unknot, whitehead)
+from lensknots.surgery import (INFINITE, AbelianGroup, FramedLink, blow_down, chain3,
+                               core_order, h1, link_from_json, link_to_obj, unknot,
+                               whitehead)
+
+
+def presentation(link):
+    """Relation rows of H1 on the meridian generators, one per filled
+    component: the reference that `surgery._reduced_h1` is tested against."""
+    rows = []
+    for i, c in enumerate(link.coefficients):
+        if c is not None:
+            row = [c.q * x for x in link.linking[i]]
+            row[i] = c.p
+            rows.append(row)
+    return rows
 
 
 def test_builtins():
     assert unknot().num_components == 1
     assert whitehead().num_components == 2
-    assert whitehead().lk(0, 1) == 0
+    assert whitehead().linking[0][1] == 0
     assert chain3().num_components == 3
-    assert all(chain3().lk(i, j) == 1
+    assert all(chain3().linking[i][j] == 1
                for i in range(3) for j in range(3) if i != j)
     for make in (unknot, whitehead, chain3):
         link = make()
         assert link.name == make.__name__
-        assert all(c is UNFILLED for c in link.coefficients)
+        assert all(c is None for c in link.coefficients)
 
 
 def test_framed_link_validation():
@@ -80,17 +92,18 @@ def test_abelian_group_basics():
 def test_h1_examples():
     assert h1(whitehead("-3", "-4")) == AbelianGroup(0, (12,))
     assert h1(whitehead("-2", "-5")) == AbelianGroup(0, (10,))
-    assert h1(whitehead("-3", UNFILLED)) == AbelianGroup(1, (3,))
+    assert h1(whitehead("-3", None)) == AbelianGroup(1, (3,))
     assert h1(whitehead()) == AbelianGroup(2, ())
     assert h1(unknot("0")) == AbelianGroup(1, ())
     assert h1(unknot("-7/2")) == AbelianGroup(0, (7,))
-    assert h1(unknot(UNFILLED)) == AbelianGroup(1, ())
+    assert h1(unknot(None)) == AbelianGroup(1, ())
     assert h1(chain3("-2", "-3", "1")) == AbelianGroup(0, (12,))
 
 
 def test_h1_presentation_rows():
-    rows = h1_presentation(chain3("-2", "5/2", UNFILLED))
-    assert rows == [[-2, 1, 1], [2, 5, 2]]
+    link = chain3("-2", "5/2", None)
+    assert presentation(link) == [[-2, 1, 1], [2, 5, 2]]
+    assert surgery._reduced_h1(link)[0] == ((-2, 1, 1), (2, 5, 2))
 
 
 def det(sq):
@@ -134,7 +147,7 @@ def test_h1_order_is_presentation_determinant(entries, raw_coeffs):
         coeffs.extend([Slope(1, 1)] * (n - len(coeffs)))
     link = FramedLink.make(linking, coeffs)
     group = h1(link)
-    d = det(h1_presentation(link))
+    d = det(presentation(link))
     if d == 0:
         assert group.order() == INFINITE
     else:
@@ -151,7 +164,7 @@ def test_core_order_examples():
     # manifold, and one check says so
     for i in (0, 1):
         with pytest.raises(ValueError, match="fill every component"):
-            core_order(whitehead("-3", UNFILLED), i)
+            core_order(whitehead("-3", None), i)
 
 
 # --- reference oracle: the core order from a Bezout solution -----------------
@@ -186,9 +199,9 @@ def reference_core_order(link, i, bezout):
     c, d = bezout
     assert p * d - q * c == 1
     n = link.num_components
-    v = [d * link.lk(i, j) for j in range(n)]
+    v = [d * x for x in link.linking[i]]
     v[i] = c
-    rows = h1_presentation(link)
+    rows = presentation(link)
     g = AbelianGroup.from_presentation(rows, n)
     g2 = AbelianGroup.from_presentation(rows + [v], n)
     if g2.rank < g.rank:
@@ -232,7 +245,7 @@ def singular_links(draw):
     link = FramedLink.make([[a[i][j] if i != j else 0 for j in range(n)]
                             for i in range(n)],
                            [Slope(a[i][i], 1) for i in range(n)])
-    assert det(h1_presentation(link)) == 0
+    assert det(presentation(link)) == 0
     return link
 
 
@@ -266,7 +279,7 @@ def fresh(link):
     for i, s in enumerate(link.coefficients):
         d, c = solve_bezout(s.p, s.q)
         orders.append(reference_core_order(link, i, (c, d)))
-    return AbelianGroup.from_presentation(h1_presentation(link), n), orders
+    return AbelianGroup.from_presentation(presentation(link), n), orders
 
 
 def orders_of(link):
@@ -307,7 +320,7 @@ def test_memo_core_order_refuses_unfilled_link_closed_link_reads_fresh(link, dat
                                           for j, c in enumerate(link.coefficients)])
     group, orders = fresh(link)
     assert h1(link) == group
-    assert h1(half) == AbelianGroup.from_presentation(h1_presentation(half), n)
+    assert h1(half) == AbelianGroup.from_presentation(presentation(half), n)
     for i in range(n):
         with pytest.raises(ValueError, match="^core_order needs a closed "
                            "manifold: fill every component$"):
@@ -316,9 +329,8 @@ def test_memo_core_order_refuses_unfilled_link_closed_link_reads_fresh(link, dat
 
 
 def test_memo_rows_cannot_be_changed_by_a_caller():
-    """The shared rows and diagonal are tuples, and the rows
-    `h1_presentation` returns are built anew, so no caller can change the
-    memo."""
+    """The shared rows and diagonal are tuples, so no caller can change
+    the memo."""
     link = chain3("2", "3", "-5/2")
     group, orders = fresh(link)
     rows, diag = surgery._reduced_h1(link)
@@ -328,7 +340,6 @@ def test_memo_rows_cannot_be_changed_by_a_caller():
         rows[0][0] = 7
     with pytest.raises(TypeError):
         rows[0] += (1,)
-    h1_presentation(link)[0][0] = 7
     assert surgery._reduced_h1(link) == (rows, diag)
     assert orders_of(link) == orders and h1(link) == group
 
@@ -345,9 +356,9 @@ def test_blow_down_chain_to_whitehead():
 
 
 def test_blow_down_preserves_unfilled_and_infinity():
-    link = chain3(UNFILLED, "inf", "-1")
+    link = chain3(None, "inf", "-1")
     after = blow_down(link, 2)
-    assert after.coefficients[0] is UNFILLED
+    assert after.coefficients[0] is None
     assert after.coefficients[1] == Slope(1, 0)
     assert after.linking == ((0, 2), (2, 0))
 
@@ -356,7 +367,7 @@ def test_blow_down_requires_unit_framing():
     with pytest.raises(ValueError):
         blow_down(chain3("-2", "-3", "2"), 2)
     with pytest.raises(ValueError):
-        blow_down(chain3("-2", "-3", UNFILLED), 2)
+        blow_down(chain3("-2", "-3", None), 2)
 
 
 def test_component_index_in_range():
@@ -383,7 +394,7 @@ def test_blow_down_h1_invariant(a, b, eps):
 
 def test_json_round_trip():
     for link in (whitehead("-3", "-5/2"),
-                 chain3(UNFILLED, "inf", "7"),
+                 chain3(None, "inf", "7"),
                  unknot("0"),
                  FramedLink.make(((0, 3), (3, 0)), ("1/2", "-4"))):
         assert link_from_json(json.dumps(link_to_obj(link), indent=2,

@@ -30,10 +30,10 @@ from lensknots.families import (CheckResult, FamilyInstance, VerificationReport,
                                  instantiate, verify)
 from lensknots.fatgraph import (ArcSystemConfig, enumerate_configs, faces,
                                 scharlemann_cycles)
-from lensknots.lenspaces import INFINITY, LensSpace, Slope, normalize
+from lensknots.lenspaces import LensSpace, Slope, normalize
 from lensknots.mcg import MappingWord
-from lensknots.surgery import (AbelianGroup, FramedLink, chain3, h1, h1_presentation,
-                               unknot, whitehead)
+from lensknots.surgery import AbelianGroup, FramedLink, chain3, h1, unknot, whitehead
+from test_surgery import presentation
 
 CHECKED = (Slope, LensSpace, FramedLink, AbelianGroup, MappingWord)
 # value classes with no check: instantiate builds its FamilyInstance
@@ -78,7 +78,7 @@ def test_slope_make_and_normalize_are_valid():
             assert_valid(normalize(p, q))
     for p, q in [(0, 1), (1, 5), (-1, 7), (2, -1), (7, 2), (-12, 5)]:
         assert_valid(normalize(p, q))
-    assert Slope.make(-5, 0) is INFINITY
+    assert Slope.make(-5, 0) is lenspaces._INFINITY
 
 
 def test_from_presentation_is_valid():
@@ -120,7 +120,7 @@ def test_h1_is_the_checked_cokernel(link):
     The checked path stays for rows h1 does not build, such as those of
     mcg.bundle_h1."""
     group = h1(link)
-    assert group == AbelianGroup.from_presentation(h1_presentation(link),
+    assert group == AbelianGroup.from_presentation(presentation(link),
                                                    link.num_components)
     assert_valid(group)
 
